@@ -17,8 +17,8 @@
 //! genuinely reorders or combines rows (join output, sort) or at the wire.
 //!
 //! **Row boundaries.** [`ColumnBatch::from_rows`] / [`ColumnBatch::to_rows`]
-//! are the only row↔column conversion points, used at the storage scan
-//! boundary and the final client rowset. Type sniffing is per column: the
+//! are the only row↔column conversion points, used where rows enter
+//! storage (bulk load, inserts) and at the final client rowset. Type sniffing is per column: the
 //! first non-NULL value fixes the typed representation, later mismatches
 //! degrade that column to `Any`. Int is *not* promoted to Double — the two
 //! display differently (`2` vs `2.0000`) and results must round-trip.
@@ -451,8 +451,8 @@ impl ColumnBuilder {
     }
 
     /// Append a datum by reference — string bytes copy straight into the
-    /// arena without an intermediate owned `Datum` (the difference between
-    /// one copy and two at the storage scan boundary).
+    /// arena without an intermediate owned `Datum` (one copy, not two, as
+    /// rows enter storage).
     #[inline]
     pub fn push_datum_ref(&mut self, d: &Datum) {
         if let Datum::Str(s) = d {
@@ -654,7 +654,7 @@ impl ColumnBatch {
         ColumnBatch { columns: vec![col; width], nrows: 0, sel: None }
     }
 
-    /// Convert row-major input (the storage scan / operator-input shim).
+    /// Convert row-major input (storage appends, `VALUES` inputs).
     pub fn from_rows(rows: &[Row]) -> ColumnBatch {
         let width = rows.first().map_or(0, |r| r.arity());
         let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
@@ -690,24 +690,6 @@ impl ColumnBatch {
             cols.push(Arc::new(b.finish()));
         }
         ColumnBatch { columns: cols, nrows, sel: None }
-    }
-
-    /// Pack borrowed rows — the storage-boundary shim when the rows still
-    /// live in a partition snapshot, so nothing is cloned row-wise first.
-    pub fn from_row_refs(rows: &[&Row]) -> ColumnBatch {
-        let width = rows.first().map_or(0, |r| r.arity());
-        let mut builders: Vec<ColumnBuilder> = (0..width).map(|_| ColumnBuilder::new()).collect();
-        for r in rows {
-            debug_assert_eq!(r.arity(), width, "ragged batch");
-            for (b, d) in builders.iter_mut().zip(&r.0) {
-                b.push_datum_ref(d);
-            }
-        }
-        ColumnBatch {
-            columns: builders.into_iter().map(|b| Arc::new(b.finish())).collect(),
-            nrows: rows.len(),
-            sel: None,
-        }
     }
 
     /// Materialize as rows, honouring the selection (the client-rowset shim).

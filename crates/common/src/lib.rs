@@ -2,8 +2,8 @@
 //!
 //! This crate defines the row/value model ([`Datum`], [`Row`]), schemas
 //! ([`Schema`], [`Field`], [`DataType`]), scalar expressions and their
-//! evaluator ([`expr::Expr`]), aggregate functions ([`agg`]), date helpers
-//! ([`dates`]) and the common error type ([`IcError`]).
+//! row and vectorized evaluators ([`expr::Expr`], [`eval`]), aggregate
+//! functions ([`agg`]), date helpers ([`dates`]) and the common error type ([`IcError`]).
 //!
 //! Everything above this crate — storage, SQL frontend, planner, executor —
 //! speaks these types, mirroring how Apache Calcite's `RexNode`/`RelDataType`
@@ -16,6 +16,7 @@ pub mod col;
 pub mod datum;
 pub mod dates;
 pub mod error;
+pub mod eval;
 pub mod expr;
 pub mod hash;
 pub mod lease;

@@ -20,9 +20,8 @@
 //! is what makes "kill a site mid-stream" lose zero acknowledged writes.
 
 use ic_common::obs::{Counter, MetricsRegistry};
-use ic_net::wire::WireSize;
 use ic_net::{NetError, Network, SiteId};
-use ic_storage::{Catalog, TableData, TableDistribution};
+use ic_storage::{Catalog, PartStore, TableData, TableDistribution};
 use std::sync::{Arc, OnceLock};
 
 /// What one [`RebalanceController::repair`] pass did.
@@ -108,24 +107,36 @@ impl RebalanceController {
             .collect()
     }
 
-    /// Ship `store`'s rows from `src` to `dst` in chunks through the
-    /// fault-injectable replication path. An empty store still costs one
-    /// control frame. Any link/site fault aborts the transfer.
+    /// Ship `store`'s rows from row `skip` on from `src` to `dst` in
+    /// chunks through the fault-injectable replication path, each row
+    /// charged its row-format wire size (a tag byte plus the payload per
+    /// value), read off the stored columns. An empty transfer still costs
+    /// one control frame. Any link/site fault aborts the transfer.
     fn ship_chunks(
         &self,
         src: SiteId,
         dst: SiteId,
-        rows: &[ic_common::Row],
+        store: &PartStore,
+        skip: usize,
     ) -> Result<(), NetError> {
         let m = metrics();
-        if rows.is_empty() {
+        let sizes: Vec<usize> = store
+            .segments
+            .iter()
+            .flat_map(|seg| {
+                (0..seg.len()).map(move |i| {
+                    seg.batch.columns().iter().map(|c| 1 + c.value_byte_size(i)).sum()
+                })
+            })
+            .skip(skip)
+            .collect();
+        if sizes.is_empty() {
             self.network.replicate(src, dst, 64)?;
             m.chunks.inc();
             return Ok(());
         }
-        for chunk in rows.chunks(self.chunk_rows) {
-            let bytes: usize = chunk.iter().map(|r| r.wire_size()).sum();
-            self.network.replicate(src, dst, bytes)?;
+        for chunk in sizes.chunks(self.chunk_rows) {
+            self.network.replicate(src, dst, chunk.iter().sum())?;
             m.chunks.inc();
         }
         Ok(())
@@ -139,16 +150,15 @@ impl RebalanceController {
         for data in tables {
             // Phase A — bulk ship the current frozen snapshot, unguarded.
             let bulk = data.replica(p, src).unwrap_or_default();
-            self.ship_chunks(src, dst, &bulk.rows)?;
+            self.ship_chunks(src, dst, &bulk, 0)?;
             // Phase B — brief guarded catch-up: whatever committed since the
             // snapshot is shipped as one delta frame, then the exact current
             // store is installed.
             let _g = data.write_guard(p);
             let current = data.replica(p, src).unwrap_or_default();
             if current.version != bulk.version {
-                let delta = current.rows.len().saturating_sub(bulk.rows.len()).max(1);
-                let tail = &current.rows[current.rows.len() - delta.min(current.rows.len())..];
-                self.ship_chunks(src, dst, tail)?;
+                let delta = current.len().saturating_sub(bulk.len()).max(1);
+                self.ship_chunks(src, dst, &current, current.len().saturating_sub(delta))?;
             }
             data.install_replica(p, dst, current);
         }

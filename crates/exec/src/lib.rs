@@ -11,7 +11,6 @@
 //! worker pool with work stealing ([`pool`]).
 
 pub mod analyze;
-pub mod eval;
 pub mod fragment;
 pub mod kernels;
 pub mod operators;

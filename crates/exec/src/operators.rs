@@ -5,15 +5,16 @@
 //! typed column vectors with validity bitmaps and an optional selection
 //! vector — so filters shrink the selection instead of materializing
 //! output, projections share column `Arc`s, and the join/agg/sort kernels
-//! in [`crate::kernels`] run tight per-column loops. Rows exist only at
-//! the storage scan boundary ([`ScanSource`]/[`MergingIndexScan`] convert
-//! partition snapshots) and inside the row-internal operators
-//! ([`NestedLoopJoinExec`], [`MergeJoinExec`], [`SortAggExec`]) whose
-//! per-row predicates and streaming group logic gain nothing from columns.
+//! in [`crate::kernels`] run tight per-column loops. Scans hand out the
+//! stored column segments themselves ([`ScanSource`]) or gather from them
+//! ([`MergingIndexScan`]); rows exist only at the client rowset and inside
+//! the row-internal operators ([`NestedLoopJoinExec`], [`MergeJoinExec`],
+//! [`SortAggExec`]) whose per-row predicates and streaming group logic gain
+//! nothing from columns.
 
-use crate::eval::{eval_expr, eval_filter_sel};
 use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable, NIL};
 use ic_common::agg::Accumulator;
+use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
@@ -21,8 +22,8 @@ use ic_common::{
     MemoryPool, Row,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use ic_storage::{PartStore, Segment, SortedRun};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -418,103 +419,76 @@ impl RowSource for VecSource {
     }
 }
 
-/// Scan over partition snapshots with §5.3.2 variant splitting: a splitter
-/// reads the whole partition but passes only every `n`-th tuple. This is
-/// the storage-boundary shim: rows from the partition snapshot are packed
-/// into a [`ColumnBatch`] here and stay columnar downstream.
+/// Scan over partition snapshots: each stored segment goes out as it is —
+/// its columns `Arc`-cloned, nothing copied. Under §5.3.2 variant splitting
+/// a splitter reads the whole partition but passes only every `n`-th tuple,
+/// as a selection vector over the segment.
 pub struct ScanSource {
-    partitions: Vec<Arc<Vec<Row>>>,
-    part: usize,
-    idx: usize,
+    segments: Vec<Arc<Segment>>,
+    next: usize,
+    /// Scan-wide index of the first row of `segments[next]`.
+    base: usize,
     /// (variant_id, total_variants); `None` passes everything.
     split: Option<(usize, usize)>,
-    counter: usize,
-    predicate: Option<Expr>,
     ctrl: Arc<ControlBlock>,
 }
 
 impl ScanSource {
     pub fn new(
-        partitions: Vec<Arc<Vec<Row>>>,
+        partitions: Vec<PartStore>,
         split: Option<(usize, usize)>,
         ctrl: Arc<ControlBlock>,
     ) -> ScanSource {
-        ScanSource { partitions, part: 0, idx: 0, split, counter: 0, predicate: None, ctrl }
-    }
-}
-
-impl ScanSource {
-    /// Locate the next batch's rows (split + pushed-down predicate applied)
-    /// as `(partition, index)` pairs — the caller then packs them columnar
-    /// or clones them, so the dropped rows are never copied at all.
-    fn locate(&mut self) -> IcResult<Vec<(usize, usize)>> {
-        self.ctrl.check()?;
-        let mut picked = Vec::with_capacity(BATCH_SIZE);
-        while picked.len() < BATCH_SIZE {
-            if self.part >= self.partitions.len() {
-                break;
-            }
-            let rows = &self.partitions[self.part];
-            if self.idx >= rows.len() {
-                self.part += 1;
-                self.idx = 0;
-                continue;
-            }
-            let at = (self.part, self.idx);
-            let row = &rows[self.idx];
-            self.idx += 1;
-            let keep = match self.split {
-                Some((vid, n)) => {
-                    let keep = self.counter % n == vid;
-                    self.counter += 1;
-                    keep
-                }
-                None => true,
-            };
-            if keep {
-                if let Some(p) = &self.predicate {
-                    if !p.eval_filter(row)? {
-                        continue;
-                    }
-                }
-                picked.push(at);
-            }
-        }
-        Ok(picked)
+        let segments = partitions.iter().flat_map(|p| p.segments.iter().cloned()).collect();
+        ScanSource { segments, next: 0, base: 0, split, ctrl }
     }
 }
 
 impl RowSource for ScanSource {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        let picked = self.locate()?;
-        if picked.is_empty() {
-            return Ok(None);
+        while let Some(seg) = self.segments.get(self.next) {
+            self.ctrl.check()?;
+            self.next += 1;
+            let base = self.base;
+            self.base += seg.len();
+            if let Some(b) = segment_rows(seg, 0, seg.len(), base, self.split) {
+                return Ok(Some(b));
+            }
         }
-        let refs: Vec<&Row> =
-            picked.iter().map(|&(p, i)| &self.partitions[p][i]).collect();
-        Ok(Some(ColumnBatch::from_row_refs(&refs)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let picked = self.locate()?;
-        if picked.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(picked.iter().map(|&(p, i)| self.partitions[p][i].clone()).collect()))
+        Ok(None)
     }
 }
 
-/// K-way merge over sorted partition snapshots (index scans at sites
-/// holding several partitions). Variant splitting preserves order (a
-/// subsequence of a sorted run is sorted).
+/// Rows `[lo, hi)` of a stored segment as a batch: the stored columns
+/// themselves when the whole segment passes, else a selection over them.
+/// `base` is the scan-wide index of row `lo`; a splitter `(vid, n)` keeps
+/// the rows whose scan-wide index is `vid` mod `n`, so the same tuples pass
+/// whichever lane reads them. `None` when no row passes.
+pub(crate) fn segment_rows(
+    seg: &Segment,
+    lo: usize,
+    hi: usize,
+    base: usize,
+    split: Option<(usize, usize)>,
+) -> Option<ColumnBatch> {
+    match split {
+        None if lo == 0 && hi == seg.len() => Some(seg.batch.clone()),
+        None => Some(seg.batch.slice_logical(lo, hi - lo)),
+        Some((vid, n)) => {
+            let sel: Vec<u32> =
+                (lo..hi).filter(|i| (base + i - lo) % n == vid).map(|i| i as u32).collect();
+            (!sel.is_empty()).then(|| seg.batch.with_sel(sel))
+        }
+    }
+}
+
+/// K-way merge over per-partition index runs (index scans at sites holding
+/// several partitions), gathering the rows from the stored columns.
+/// Variant splitting preserves order (a subsequence of a sorted run is
+/// sorted).
 pub struct MergingIndexScan {
-    runs: Vec<(Arc<Vec<Row>>, usize)>,
-    key_cols: Vec<usize>,
-    /// Min-heap over (projected key of each run's current row, run index).
-    /// The run-index tie-break reproduces the previous linear scan's
-    /// "earliest run wins on equal keys" order; popping and re-pushing one
-    /// entry is O(log runs) instead of O(runs) key projections per row.
-    heap: BinaryHeap<Reverse<(Row, usize)>>,
+    /// Each run with the snapshot its positions index, and its cursor.
+    runs: Vec<(Arc<SortedRun>, PartStore, usize)>,
     split: Option<(usize, usize)>,
     counter: usize,
     ctrl: Arc<ControlBlock>,
@@ -522,71 +496,81 @@ pub struct MergingIndexScan {
 
 impl MergingIndexScan {
     pub fn new(
-        runs: Vec<Arc<Vec<Row>>>,
-        key_cols: Vec<usize>,
+        runs: Vec<(Arc<SortedRun>, PartStore)>,
         split: Option<(usize, usize)>,
         ctrl: Arc<ControlBlock>,
     ) -> MergingIndexScan {
-        let runs: Vec<(Arc<Vec<Row>>, usize)> =
-            runs.into_iter().map(|r| (r, 0)).collect();
-        let mut heap = BinaryHeap::with_capacity(runs.len());
-        for (i, (run, _)) in runs.iter().enumerate() {
-            if let Some(row) = run.first() {
-                heap.push(Reverse((row.project(&key_cols), i)));
-            }
-        }
-        MergingIndexScan { runs, key_cols, heap, split, counter: 0, ctrl }
+        let runs = runs.into_iter().map(|(run, store)| (run, store, 0)).collect();
+        MergingIndexScan { runs, split, counter: 0, ctrl }
     }
 
-    fn pop_min(&mut self) -> Option<(usize, usize)> {
-        let Reverse((_, i)) = self.heap.pop()?;
-        let (run, pos) = &mut self.runs[i];
-        let at = (i, *pos);
-        *pos += 1;
-        if let Some(next) = run.get(*pos) {
-            self.heap.push(Reverse((next.project(&self.key_cols), i)));
+    /// The run holding the smallest current key; the earliest run wins
+    /// ties. A linear scan: runs are the partitions of one site.
+    fn min_run(&self) -> Option<usize> {
+        let mut best: Option<usize> = None;
+        for (r, (run, _, pos)) in self.runs.iter().enumerate() {
+            let Some(&at) = run.positions.get(*pos) else { continue };
+            best = match best {
+                Some(b) => {
+                    let (brun, _, bpos) = &self.runs[b];
+                    Some(if run.cmp(at, brun, brun.positions[*bpos]).is_lt() { r } else { b })
+                }
+                None => Some(r),
+            };
         }
-        Some(at)
+        best
     }
+}
 
-    /// Locate the next batch's rows in merge order as `(run, index)` pairs.
-    fn locate(&mut self) -> IcResult<Vec<(usize, usize)>> {
+impl MergingIndexScan {
+    /// The next batch's rows in merge order, as `(run, segment, row)`.
+    fn pick(&mut self) -> IcResult<Vec<(usize, u32, u32)>> {
         self.ctrl.check()?;
         let mut picked = Vec::with_capacity(BATCH_SIZE);
         while picked.len() < BATCH_SIZE {
-            let Some(at) = self.pop_min() else { break };
-            let keep = match self.split {
-                Some((vid, n)) => {
-                    let keep = self.counter % n == vid;
-                    self.counter += 1;
-                    keep
-                }
-                None => true,
-            };
+            let Some(r) = self.min_run() else { break };
+            let (run, _, pos) = &mut self.runs[r];
+            let (s, i) = run.positions[*pos];
+            *pos += 1;
+            let keep = self.split.is_none_or(|(vid, n)| self.counter % n == vid);
+            self.counter += 1;
             if keep {
-                picked.push(at);
+                picked.push((r, s, i));
             }
         }
         Ok(picked)
+    }
+
+    fn segment(&self, r: usize, s: u32) -> &ColumnBatch {
+        &self.runs[r].1.segments[s as usize].batch
     }
 }
 
 impl RowSource for MergingIndexScan {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        let picked = self.locate()?;
-        if picked.is_empty() {
-            return Ok(None);
-        }
-        let refs: Vec<&Row> = picked.iter().map(|&(r, i)| &self.runs[r].0[i]).collect();
-        Ok(Some(ColumnBatch::from_row_refs(&refs)))
+        let picked = self.pick()?;
+        let Some(&(r0, s0, _)) = picked.first() else { return Ok(None) };
+        let columns = (0..self.segment(r0, s0).width())
+            .map(|c| {
+                let mut b = ColumnBuilder::new();
+                for &(r, s, i) in &picked {
+                    b.push_from_column(self.segment(r, s).col(c), i as usize);
+                }
+                Arc::new(b.finish())
+            })
+            .collect();
+        Ok(Some(ColumnBatch::new(columns, picked.len())))
     }
 
+    // Row consumers (merge join, sort aggregate — the usual readers of an
+    // index's collation) get their rows built straight from the stored
+    // columns, without a gathered batch in between.
     fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let picked = self.locate()?;
+        let picked = self.pick()?;
         if picked.is_empty() {
             return Ok(None);
         }
-        Ok(Some(picked.iter().map(|&(r, i)| self.runs[r].0[i].clone()).collect()))
+        Ok(Some(picked.iter().map(|&(r, s, i)| self.segment(r, s).row_at(i as usize)).collect()))
     }
 }
 
@@ -1840,25 +1824,46 @@ mod tests {
         assert_eq!(drain(Box::new(l)).unwrap(), rows(&[&[2], &[1]]));
     }
 
+    fn store(rows: &[Row]) -> PartStore {
+        PartStore::default().appended(rows)
+    }
+
+    #[test]
+    fn scan_hands_out_stored_segments() {
+        let data: Vec<Row> = (0..2500i64).map(|i| Row(vec![Datum::Int(i)])).collect();
+        let part = store(&data);
+        let mut s = ScanSource::new(vec![part.clone()], None, ctrl());
+        let first = s.next_batch().unwrap().unwrap();
+        assert!(Arc::ptr_eq(first.col(0), part.segments[0].batch.col(0)), "no copy");
+        assert_eq!(drain(Box::new(s)).unwrap(), data[BATCH_SIZE..].to_vec());
+    }
+
     #[test]
     fn scan_variant_splitting_partitions_rows() {
-        let data = Arc::new((0..10i64).map(|i| Row(vec![Datum::Int(i)])).collect::<Vec<_>>());
-        let v0 = ScanSource::new(vec![data.clone()], Some((0, 2)), ctrl());
-        let v1 = ScanSource::new(vec![data.clone()], Some((1, 2)), ctrl());
+        let data: Vec<Row> = (0..10i64).map(|i| Row(vec![Datum::Int(i)])).collect();
+        let parts = vec![store(&data[..3]), store(&data[3..])];
+        let v0 = ScanSource::new(parts.clone(), Some((0, 2)), ctrl());
+        let v1 = ScanSource::new(parts, Some((1, 2)), ctrl());
         let r0 = drain(Box::new(v0)).unwrap();
         let r1 = drain(Box::new(v1)).unwrap();
-        assert_eq!(r0.len(), 5);
-        assert_eq!(r1.len(), 5);
-        let mut all: Vec<Row> = r0.into_iter().chain(r1).collect();
-        all.sort();
-        assert_eq!(all, *data);
+        // The split counts rows across partitions, as one scan.
+        assert_eq!(r0, rows(&[&[0], &[2], &[4], &[6], &[8]]));
+        assert_eq!(r1, rows(&[&[1], &[3], &[5], &[7], &[9]]));
     }
 
     #[test]
     fn merging_index_scan_merges_runs() {
-        let a = Arc::new(rows(&[&[1], &[4], &[7]]));
-        let b = Arc::new(rows(&[&[2], &[3], &[9]]));
-        let m = MergingIndexScan::new(vec![a, b], vec![0], None, ctrl());
+        let def = ic_storage::IndexDef {
+            id: ic_storage::IndexId(0),
+            name: "ix".into(),
+            table: ic_storage::TableId(0),
+            columns: vec![0],
+        };
+        let ix = ic_storage::Index::new(&def, 2);
+        let a = store(&rows(&[&[7], &[1], &[4]]));
+        let b = store(&rows(&[&[2], &[9], &[3]]));
+        let runs = vec![(ix.sorted(0, &a), a), (ix.sorted(1, &b), b)];
+        let m = MergingIndexScan::new(runs, None, ctrl());
         let out = drain(Box::new(m)).unwrap();
         let vals: Vec<i64> = out.iter().map(|r| r.0[0].as_int().unwrap()).collect();
         assert_eq!(vals, vec![1, 2, 3, 4, 7, 9]);
@@ -1867,7 +1872,7 @@ mod tests {
     #[test]
     fn timeout_aborts() {
         let ctrl = ControlBlock::new(Some(Instant::now() - std::time::Duration::from_secs(1)), 5);
-        let mut s = ScanSource::new(vec![Arc::new(rows(&[&[1]]))], None, ctrl);
+        let mut s = ScanSource::new(vec![store(&rows(&[&[1]]))], None, ctrl);
         assert!(matches!(s.next_batch(), Err(IcError::ExecTimeout { .. })));
     }
 
@@ -1875,7 +1880,7 @@ mod tests {
     fn cancellation_aborts() {
         let c = ctrl();
         c.cancel();
-        let mut s = ScanSource::new(vec![Arc::new(rows(&[&[1]]))], None, c);
+        let mut s = ScanSource::new(vec![store(&rows(&[&[1]]))], None, c);
         assert!(s.next_batch().is_err());
     }
 

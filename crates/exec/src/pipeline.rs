@@ -36,16 +36,17 @@
 use crate::analyze::OpIndex;
 use crate::kernels::ColJoinTable;
 use crate::operators::{
-    ControlBlock, FilterExec, HashAggExec, LimitExec, ProjectExec, RowSource, SharedProbeExec,
-    SortExec, TracedSource,
+    segment_rows, ControlBlock, FilterExec, HashAggExec, LimitExec, ProjectExec, RowSource,
+    SharedProbeExec, SortExec, TracedSource,
 };
 use crate::pool::{Latch, LatchGuard, Morsel, MorselSupply, SitePools, WorkerPool};
 use crate::runtime::{BuildCtx, InstanceSink};
 use ic_common::hash::FxHashMap;
 use ic_common::obs::SpanId;
 use ic_common::row::BATCH_SIZE;
-use ic_common::{ColumnBatch, ColumnBuilder, IcError, IcResult, Row};
+use ic_common::{ColumnBatch, ColumnBuilder, IcError, IcResult};
 use ic_plan::ops::{AggPhase, PhysOp, PhysPlan, SortKey};
+use ic_storage::PartStore;
 use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -170,7 +171,7 @@ struct LaneShared {
     region: Arc<PhysPlan>,
     partial_of: Option<Arc<PhysPlan>>,
     presort: Option<Vec<SortKey>>,
-    partitions: Arc<Vec<Arc<Vec<Row>>>>,
+    partitions: Arc<Vec<PartStore>>,
     supply: Arc<MorselSupply>,
     split: Option<(usize, usize)>,
     /// Shared build tables, keyed by `HashJoin` node identity.
@@ -380,8 +381,8 @@ fn run_lanes(
 
 /// Lane count for a morsel supply: never more lanes than morsels, never
 /// more than workers.
-fn lane_count(partitions: &[Arc<Vec<Row>>], morsel_rows: usize, threads: usize) -> usize {
-    let rows: usize = partitions.iter().map(|p| p.len()).sum();
+fn lane_count(partitions: &[PartStore], morsel_rows: usize, threads: usize) -> usize {
+    let rows: usize = partitions.iter().map(PartStore::len).sum();
     rows.div_ceil(morsel_rows.max(64)).min(threads)
 }
 
@@ -472,7 +473,7 @@ pub(crate) fn run_instance(
                 return Err(IcError::Internal("pipeline: region leaf not a scan".into()));
             };
             let partitions = Arc::new(ctx.table_partitions(*table)?);
-            let rows: usize = partitions.iter().map(|p| p.len()).sum();
+            let rows: usize = partitions.iter().map(PartStore::len).sum();
             if rows.div_ceil(morsel_rows.max(64)) >= 2 {
                 let pool = pools.for_site(ctx.site);
                 let lanes = lane_count(&partitions, morsel_rows, pool.threads()).max(1);
@@ -490,7 +491,7 @@ fn run_parallel(
     spec: PipelineSpec,
     pool: &Arc<WorkerPool>,
     lanes: usize,
-    partitions: Arc<Vec<Arc<Vec<Row>>>>,
+    partitions: Arc<Vec<PartStore>>,
     morsel_rows: usize,
     sink: &InstanceSink,
 ) -> IcResult<()> {
@@ -624,12 +625,13 @@ fn wrap_traced(ctx: &BuildCtx<'_>, node: &Arc<PhysPlan>, src: BoxedSource) -> Bo
 
 // --------------------------------------------------------------- sources
 
-/// Scan source over the shared morsel supply: pulls a morsel, emits it in
-/// `BATCH_SIZE` chunks, pulls the next. `ControlBlock::check` runs at
-/// every chunk boundary — the morsel/batch boundary is the revocation
+/// Scan source over the shared morsel supply: pulls a morsel and emits the
+/// stored segments it covers — whole, or sliced where the morsel starts or
+/// ends inside one — then pulls the next. `ControlBlock::check` runs at
+/// every batch boundary — the morsel/batch boundary is the revocation
 /// point, never mid-kernel.
 struct MorselScanSource {
-    partitions: Arc<Vec<Arc<Vec<Row>>>>,
+    partitions: Arc<Vec<PartStore>>,
     supply: Arc<MorselSupply>,
     lane: usize,
     cur: Option<(Morsel, usize)>,
@@ -639,7 +641,7 @@ struct MorselScanSource {
 
 impl MorselScanSource {
     fn new(
-        partitions: Arc<Vec<Arc<Vec<Row>>>>,
+        partitions: Arc<Vec<PartStore>>,
         supply: Arc<MorselSupply>,
         lane: usize,
         split: Option<(usize, usize)>,
@@ -664,32 +666,21 @@ impl RowSource for MorselScanSource {
                     None => return Ok(None),
                 },
             };
-            if *offset >= m.end {
+            let found = self.partitions[m.part].segment_at(*offset);
+            let Some((seg, seg_start)) = found.filter(|_| *offset < m.end) else {
                 self.cur = None;
                 continue;
-            }
-            let end = (*offset + BATCH_SIZE).min(m.end);
+            };
             let from = *offset;
-            *offset = end;
-            let rows = &self.partitions[m.part];
-            let mut refs: Vec<&Row> = Vec::with_capacity(end - from);
-            match self.split {
-                None => refs.extend(rows[from..end].iter()),
-                Some((vid, n)) => {
-                    // Absolute row index ≡ the sequential scan's counter,
-                    // so the splitter keeps exactly the same tuples no
-                    // matter which lane processes the morsel, or when.
-                    for i in from..end {
-                        if (m.base + (i - m.start)) % n == vid {
-                            refs.push(&rows[i]);
-                        }
-                    }
-                }
+            let to = (seg_start + seg.len()).min(m.end);
+            *offset = to;
+            // Absolute row index ≡ the sequential scan's counter, so the
+            // splitter keeps exactly the same tuples no matter which lane
+            // processes the morsel, or when.
+            let base = m.base + (from - m.start);
+            if let Some(b) = segment_rows(seg, from - seg_start, to - seg_start, base, self.split) {
+                return Ok(Some(b));
             }
-            if refs.is_empty() {
-                continue;
-            }
-            return Ok(Some(ColumnBatch::from_row_refs(&refs)));
         }
     }
 }

@@ -21,8 +21,8 @@
 //! a revoked query's lanes notice at the next morsel boundary and unwind.
 
 use ic_common::obs::{Counter, Histogram, MetricsRegistry, Trace};
-use ic_common::Row;
 use ic_net::SiteId;
+use ic_storage::PartStore;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
@@ -85,14 +85,15 @@ impl MorselSupply {
     /// Morselize partition snapshots: `morsel_rows`-row chunks, walked in
     /// the same partition/row order as the sequential `ScanSource`, with
     /// absolute row indices threaded through for splitter equivalence.
-    pub fn new(partitions: &[Arc<Vec<Row>>], morsel_rows: usize, lanes: usize) -> MorselSupply {
+    pub fn new(partitions: &[PartStore], morsel_rows: usize, lanes: usize) -> MorselSupply {
         let step = morsel_rows.max(64);
         let mut queue = VecDeque::new();
         let mut base = 0usize;
-        for (part, rows) in partitions.iter().enumerate() {
+        for (part, store) in partitions.iter().enumerate() {
+            let rows = store.len();
             let mut start = 0usize;
-            while start < rows.len() {
-                let end = (start + step).min(rows.len());
+            while start < rows {
+                let end = (start + step).min(rows);
                 queue.push_back(Morsel {
                     part,
                     start,
@@ -102,7 +103,7 @@ impl MorselSupply {
                 });
                 start = end;
             }
-            base += rows.len();
+            base += rows;
         }
         let total = queue.len();
         MorselSupply { queue: Mutex::new(queue), total, metrics: MorselMetrics::resolve() }

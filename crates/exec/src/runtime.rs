@@ -33,7 +33,7 @@ use ic_net::{
 };
 use ic_plan::ops::{PhysOp, PhysPlan};
 use ic_plan::Distribution;
-use ic_storage::{Catalog, TableDistribution};
+use ic_storage::{Catalog, PartStore, TableDistribution};
 use ic_common::hash::FxHashMap;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -545,10 +545,13 @@ impl BuildCtx<'_> {
         }
     }
 
-    pub(crate) fn table_partitions(
-        &self,
-        table: ic_storage::TableId,
-    ) -> IcResult<Vec<Arc<Vec<Row>>>> {
+    /// This site's snapshot of each partition of `table` it scans, with
+    /// the partition ids, in scan order. A hash-partitioned table is read
+    /// from the site's own replica: a per-partition version snapshot (Arc
+    /// of a frozen store), so concurrent DML batches are observed
+    /// all-or-nothing. A missing replica means ownership moved between
+    /// planning and execution — surface retryably and replan.
+    fn partition_snapshots(&self, table: ic_storage::TableId) -> IcResult<Vec<(usize, PartStore)>> {
         let def = self
             .catalog
             .table_def(table)
@@ -557,25 +560,23 @@ impl BuildCtx<'_> {
             .catalog
             .table_data(table)
             .ok_or_else(|| IcError::Exec(format!("no data handle for table {table}")))?;
-        Ok(match def.distribution {
-            TableDistribution::Replicated => vec![data.partition(0)],
-            TableDistribution::HashPartitioned { .. } => {
-                // Read this site's own replica of each partition it serves:
-                // a per-partition version snapshot (Arc of a frozen store),
-                // so concurrent DML batches are observed all-or-nothing. A
-                // missing replica means ownership moved between planning
-                // and execution — surface retryably and replan.
-                let parts = self.assignment.partitions_of(self.site);
-                let mut out = Vec::with_capacity(parts.len());
-                for p in parts {
-                    match data.replica(p, self.site) {
-                        Some(store) => out.push(store.rows),
-                        None => return Err(IcError::RebalanceInProgress { partition: p }),
-                    }
-                }
-                out
-            }
-        })
+        match def.distribution {
+            TableDistribution::Replicated => Ok(vec![(0, data.store(0))]),
+            TableDistribution::HashPartitioned { .. } => self
+                .assignment
+                .partitions_of(self.site)
+                .into_iter()
+                .map(|p| match data.replica(p, self.site) {
+                    Some(store) => Ok((p, store)),
+                    None => Err(IcError::RebalanceInProgress { partition: p }),
+                })
+                .collect(),
+        }
+    }
+
+    /// [`partition_snapshots`](Self::partition_snapshots) without the ids.
+    pub(crate) fn table_partitions(&self, table: ic_storage::TableId) -> IcResult<Vec<PartStore>> {
+        Ok(self.partition_snapshots(table)?.into_iter().map(|(_, s)| s).collect())
     }
 
     pub(crate) fn build(&mut self, node: &Arc<PhysPlan>) -> IcResult<BoxedSource> {
@@ -588,30 +589,20 @@ impl BuildCtx<'_> {
                     self.ctrl.clone(),
                 ))
             }
-            PhysOp::IndexScan { table, index, sort, .. } => {
+            PhysOp::IndexScan { table, index, .. } => {
                 let mode = self.vplan.scan_mode(node);
                 let ix = self
                     .catalog
                     .index(*index)
                     .ok_or_else(|| IcError::Exec("unknown index".into()))?;
-                let def = self
-                    .catalog
-                    .table_def(*table)
-                    .ok_or_else(|| IcError::Exec(format!("unknown table {table}")))?;
-                let parts: Vec<usize> = match def.distribution {
-                    TableDistribution::Replicated => vec![0],
-                    TableDistribution::HashPartitioned { .. } => {
-                        self.assignment.partitions_of(self.site)
-                    }
-                };
-                let runs: Vec<Arc<Vec<Row>>> =
-                    parts.iter().map(|&p| ix.partition_sorted(p)).collect();
-                Box::new(MergingIndexScan::new(
-                    runs,
-                    sort.iter().map(|k| k.col).collect(),
-                    self.split_for(mode),
-                    self.ctrl.clone(),
-                ))
+                // Sorted positions over the very snapshots a table scan
+                // would read, so every committed write is visible.
+                let runs = self
+                    .partition_snapshots(*table)?
+                    .into_iter()
+                    .map(|(p, store)| (ix.sorted(p, &store), store))
+                    .collect();
+                Box::new(MergingIndexScan::new(runs, self.split_for(mode), self.ctrl.clone()))
             }
             PhysOp::Values { rows, .. } => Box::new(VecSource::new(rows.clone())),
             PhysOp::Filter { input, predicate } => Box::new(FilterExec::new(

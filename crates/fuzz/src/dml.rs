@@ -13,11 +13,12 @@
 //! * **known absent** — never inserted, or removed by an acknowledged
 //!   DELETE.
 //!
-//! Every read must agree with the oracle on all *known* keys: a missing
-//! known-present key is a lost acknowledged write, an extra known-absent
-//! key is a resurrected delete, and a wrong value is a torn or stale
-//! replica read. Unknown keys are unconstrained until the next
-//! acknowledged statement overwrites them.
+//! Every check reads the table twice — by table scan and through a
+//! secondary index on the key — and each read must agree with the oracle
+//! on all *known* keys: a missing known-present key is a lost acknowledged
+//! write, an extra known-absent key is a resurrected delete, and a wrong
+//! value is a torn, stale-replica or stale-index read. Unknown keys are
+//! unconstrained until the next acknowledged statement overwrites them.
 //!
 //! Unlike the query battery ([`crate::sim`]), every scenario builds a
 //! fresh cluster — DML mutates state, so cached clusters would leak
@@ -166,20 +167,59 @@ fn fresh_cluster(sites: usize) -> Cluster {
         max_retries: 4,
         ..ClusterConfig::test_default()
     });
-    // ic-lint: allow(L001) because the fuzz DDL is a compile-time constant; failure is a harness bug
-    cluster.run("CREATE TABLE fz (k BIGINT, v BIGINT, PRIMARY KEY (k))").expect("fuzz DDL");
+    for ddl in [
+        "CREATE TABLE fz (k BIGINT, v BIGINT, PRIMARY KEY (k))",
+        "CREATE INDEX ix_fz_k ON fz (k)",
+    ] {
+        // ic-lint: allow(L001) because the fuzz DDL is a compile-time constant; failure is a harness bug
+        cluster.run(ddl).expect("fuzz DDL");
+    }
     cluster
 }
 
-/// Read the table and compare against the shadow. Returns the sorted rows
-/// on success so the caller can fold them into the digest.
+/// The full-table read the oracle checks, by table scan.
+const TABLE_READ: &str = "SELECT k, v FROM fz ORDER BY k";
+/// The same rows through the `ix_fz_k` index: a sort aggregate over
+/// `IndexScan`, so index reads after writes are checked too.
+const INDEXED_READ: &str = "SELECT k, max(v) FROM fz GROUP BY k ORDER BY k";
+
+/// Read the table both ways and compare each against the shadow. Returns
+/// the sorted rows on success so the caller can fold them into the digest.
+/// On the final (clean) check the indexed read must still plan through the
+/// index.
 fn check_read(
     cluster: &Cluster,
     shadow: &Shadow,
     ctx: &str,
     require_clean: bool,
 ) -> Result<Option<Vec<(i64, i64)>>, String> {
-    let q = match cluster.query("SELECT k, v FROM fz ORDER BY k") {
+    if require_clean {
+        let plan =
+            cluster.explain(INDEXED_READ).map_err(|e| format!("{ctx}: explain failed: {e}"))?;
+        if !plan.contains("IndexScan(fz.ix_fz_k)") {
+            return Err(format!("{ctx}: indexed read no longer reads the index:\n{plan}"));
+        }
+    }
+    let mut rows = None;
+    for sql in [TABLE_READ, INDEXED_READ] {
+        match check_one_read(cluster, shadow, sql, ctx, require_clean)? {
+            Some(found) => rows = rows.or(Some(found)),
+            None => return Ok(None),
+        }
+    }
+    Ok(rows)
+}
+
+/// Run one read of `(k, v)` rows and compare it against the shadow.
+fn check_one_read(
+    cluster: &Cluster,
+    shadow: &Shadow,
+    sql: &str,
+    ctx: &str,
+    require_clean: bool,
+) -> Result<Option<Vec<(i64, i64)>>, String> {
+    let ctx = format!("{ctx} [{sql}]");
+    let q = match cluster.query(sql) {
         Ok(q) => q,
         Err(e) => {
             return match classify(&e) {

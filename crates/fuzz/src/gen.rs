@@ -54,7 +54,7 @@ impl SchemaInfo {
         for name in names {
             let Some(id) = catalog.table_by_name(&name) else { continue };
             let Some(def) = catalog.table_def(id) else { continue };
-            let rows = catalog.table_data(id).map(|d| d.all_rows()).unwrap_or_default();
+            let rows = catalog.table_data(id).map(|d| d.to_rows()).unwrap_or_default();
             let cols = def
                 .schema
                 .fields()

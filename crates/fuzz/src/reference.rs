@@ -78,7 +78,7 @@ impl Reference<'_> {
                 let data = self.catalog.table_data(*table).ok_or_else(|| {
                     IcError::Internal(format!("reference: no data for table '{name}'"))
                 })?;
-                let rows = data.all_rows();
+                let rows = data.to_rows();
                 self.charge(rows.len())?;
                 Ok(rows)
             }

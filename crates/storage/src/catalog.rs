@@ -168,7 +168,7 @@ impl Catalog {
         let mut indexes = self.indexes.write();
         let id = IndexId(indexes.len());
         let def = IndexDef { id, name: name.to_string(), table, columns: columns.clone() };
-        let index = Index::build(&def, &entry.data);
+        let index = Index::new(&def, entry.data.num_partitions());
         indexes.push(IndexEntry { def, index: Arc::new(index) });
         entry.indexes.push(id);
         Ok(id)
@@ -176,7 +176,6 @@ impl Catalog {
 
     /// Insert rows, routing each to its partition by hashing the
     /// distribution key (replicated tables keep one logical copy).
-    /// Invalidates statistics and rebuilds any existing indexes.
     pub fn insert(&self, table: TableId, rows: Vec<Row>) -> IcResult<usize> {
         let tables = self.tables.read();
         let entry = tables
@@ -202,22 +201,15 @@ impl Catalog {
         Ok(n)
     }
 
-    /// ANALYZE: recompute statistics and rebuild indexes for a table. Run
-    /// after bulk load, mirroring Ignite's `statistics enabled` setting.
+    /// ANALYZE: recompute statistics for a table. Run after bulk load,
+    /// mirroring Ignite's `statistics enabled` setting. Indexes need no
+    /// rebuild: they sort the snapshot each scan reads.
     pub fn analyze(&self, table: TableId) -> IcResult<()> {
         let mut tables = self.tables.write();
         let entry = tables
             .get_mut(table.0)
             .ok_or_else(|| IcError::Catalog(format!("unknown table {table}")))?;
         entry.stats = Arc::new(TableStats::compute(&entry.data));
-        let index_ids = entry.indexes.clone();
-        let data = entry.data.clone();
-        drop(tables);
-        let mut indexes = self.indexes.write();
-        for id in index_ids {
-            let def = indexes[id.0].def.clone();
-            indexes[id.0].index = Arc::new(Index::build(&def, &data));
-        }
         Ok(())
     }
 
@@ -340,7 +332,7 @@ mod tests {
         assert_eq!(data.total_rows(), 1000);
         // Hash partitioning should spread rows over all 4 partitions.
         for p in 0..4 {
-            let n = data.partition(p).len();
+            let n = data.store(p).len();
             assert!(n > 150 && n < 350, "partition {p} has {n} rows");
         }
     }
@@ -384,16 +376,18 @@ mod tests {
     }
 
     #[test]
-    fn index_creation_and_rebuild() {
+    fn index_creation_covers_later_rows() {
         let cat = Catalog::new(Topology::new(2));
         let id = cat
             .create_table("t", schema(), vec![0], TableDistribution::HashPartitioned { key_cols: vec![0] })
             .unwrap();
         let idx = cat.create_index("t_id", id, vec![0]).unwrap();
         cat.insert(id, rows(50)).unwrap();
-        cat.analyze(id).unwrap();
+        // Created before the load, the index still covers every row.
         let index = cat.index(idx).unwrap();
-        assert_eq!(index.total_entries(), 50);
+        let data = cat.table_data(id).unwrap();
+        let entries: usize = (0..2).map(|p| index.sorted(p, &data.store(p)).positions.len()).sum();
+        assert_eq!(entries, 50);
         assert_eq!(cat.indexes_of(id).len(), 1);
         assert!(cat.create_index("bad", id, vec![99]).is_err());
     }

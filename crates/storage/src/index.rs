@@ -1,105 +1,102 @@
 //! Sorted secondary indexes.
 //!
-//! Each index keeps, per partition, the partition's rows sorted by the index
-//! key. A scan through the index therefore delivers rows with a *collation*
-//! trait the planner can use to elide sorts (the paper's Q14 improvement) or
-//! feed merge joins. Point/range lookups binary-search the sorted run.
+//! An index is, per partition, the partition's row positions sorted by the
+//! index key — over the very snapshot a scan reads, never over a copy of the
+//! rows. A scan through the index therefore delivers the current rows with
+//! a *collation* trait the planner can use to elide sorts (the paper's Q14
+//! improvement) or feed merge joins.
+//!
+//! Sorted runs are built on first use and cached per partition. A cached
+//! run stays valid for a later snapshot as long as that snapshot still
+//! shares every segment's key columns by pointer: a write that leaves the
+//! key columns and row positions alone (an UPDATE of non-key columns)
+//! keeps the run, anything else re-sorts the partition on the next scan.
 
 use crate::catalog::IndexDef;
-use crate::table::TableData;
-use ic_common::{Datum, Row};
-use std::ops::Bound;
+use crate::table::PartStore;
+use ic_common::Column;
+use parking_lot::Mutex;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
-/// A built index: per-partition arrays of row references sorted by key.
+/// One partition's index entries over one snapshot.
+#[derive(Debug)]
+pub struct SortedRun {
+    /// The key columns of every segment of the snapshot, in segment order.
+    /// Holding them keeps the pointers a later snapshot is compared with
+    /// alive.
+    keys: Vec<Vec<Arc<Column>>>,
+    /// `(segment, row)` positions in key order; ties keep storage order.
+    pub positions: Vec<(u32, u32)>,
+}
+
+impl SortedRun {
+    fn build(store: &PartStore, columns: &[usize]) -> SortedRun {
+        let keys: Vec<Vec<Arc<Column>>> = store
+            .segments
+            .iter()
+            .map(|s| columns.iter().map(|&c| s.batch.col(c).clone()).collect())
+            .collect();
+        let mut positions: Vec<(u32, u32)> = Vec::with_capacity(store.len());
+        for (s, seg) in store.segments.iter().enumerate() {
+            positions.extend((0..seg.len() as u32).map(|i| (s as u32, i)));
+        }
+        let mut run = SortedRun { keys, positions: Vec::new() };
+        positions.sort_by(|&a, &b| run.cmp(a, &run, b));
+        run.positions = positions;
+        run
+    }
+
+    /// Key order between position `a` of this run and position `b` of
+    /// `other` (`Datum::cmp` semantics, column by column).
+    pub fn cmp(&self, (sa, ia): (u32, u32), other: &SortedRun, (sb, ib): (u32, u32)) -> Ordering {
+        let (ka, kb) = (&self.keys[sa as usize], &other.keys[sb as usize]);
+        for (ca, cb) in ka.iter().zip(kb) {
+            let ord = ca.cmp_at(ia as usize, cb, ib as usize);
+            if ord != Ordering::Equal {
+                return ord;
+            }
+        }
+        Ordering::Equal
+    }
+
+    /// Does `store` still have exactly the segments and key columns this
+    /// run was sorted over?
+    fn covers(&self, store: &PartStore, columns: &[usize]) -> bool {
+        self.keys.len() == store.segments.len()
+            && self.keys.iter().zip(store.segments.iter()).all(|(keys, seg)| {
+                keys.iter().zip(columns).all(|(k, &c)| Arc::ptr_eq(k, seg.batch.col(c)))
+            })
+    }
+}
+
+/// A secondary index: its key columns plus one cached sorted run per
+/// partition.
 pub struct Index {
     pub columns: Vec<usize>,
-    /// For each partition: rows sorted by the key columns.
-    partitions: Vec<Arc<Vec<Row>>>,
-}
-
-/// A half-open/closed range over index key prefixes.
-#[derive(Debug, Clone, PartialEq)]
-pub struct KeyRange {
-    pub lower: Bound<Vec<Datum>>,
-    pub upper: Bound<Vec<Datum>>,
-}
-
-impl KeyRange {
-    pub fn all() -> KeyRange {
-        KeyRange { lower: Bound::Unbounded, upper: Bound::Unbounded }
-    }
-
-    pub fn point(key: Vec<Datum>) -> KeyRange {
-        KeyRange { lower: Bound::Included(key.clone()), upper: Bound::Included(key) }
-    }
-}
-
-fn key_of(row: &Row, cols: &[usize]) -> Vec<Datum> {
-    cols.iter().map(|&c| row.0[c].clone()).collect()
-}
-
-/// Compare a row's key against a bound prefix (shorter prefixes compare on
-/// their length only).
-fn cmp_prefix(key: &[Datum], bound: &[Datum]) -> std::cmp::Ordering {
-    let n = bound.len().min(key.len());
-    for i in 0..n {
-        let ord = key[i].cmp(&bound[i]);
-        if ord != std::cmp::Ordering::Equal {
-            return ord;
-        }
-    }
-    std::cmp::Ordering::Equal
+    runs: Mutex<Vec<Option<Arc<SortedRun>>>>,
 }
 
 impl Index {
-    /// Build (or rebuild) the index over the current table contents.
-    pub fn build(def: &IndexDef, data: &TableData) -> Index {
-        let mut partitions = Vec::with_capacity(data.num_partitions());
-        for p in 0..data.num_partitions() {
-            let mut rows: Vec<Row> = data.partition(p).iter().cloned().collect();
-            rows.sort_by_key(|a| key_of(a, &def.columns));
-            partitions.push(Arc::new(rows));
+    pub fn new(def: &IndexDef, num_partitions: usize) -> Index {
+        Index {
+            columns: def.columns.clone(),
+            runs: Mutex::named(vec![None; num_partitions], "index.runs"),
         }
-        Index { columns: def.columns.clone(), partitions }
     }
 
-    pub fn num_partitions(&self) -> usize {
-        self.partitions.len()
-    }
-
-    pub fn total_entries(&self) -> usize {
-        self.partitions.iter().map(|p| p.len()).sum()
-    }
-
-    /// The fully sorted rows of one partition (full index scan).
-    pub fn partition_sorted(&self, partition: usize) -> Arc<Vec<Row>> {
-        self.partitions[partition].clone()
-    }
-
-    /// Range scan within one partition: binary-search the bounds, return the
-    /// matching slice as a fresh vector (bounds compare on key prefixes).
-    pub fn range_scan(&self, partition: usize, range: &KeyRange) -> Vec<Row> {
-        let rows = &self.partitions[partition];
-        let lo = match &range.lower {
-            Bound::Unbounded => 0,
-            Bound::Included(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_lt())
+    /// The index entries of `partition` over `store` (the snapshot the
+    /// caller scans): the cached run when it still covers `store`, else a
+    /// fresh sort that replaces it.
+    pub fn sorted(&self, partition: usize, store: &PartStore) -> Arc<SortedRun> {
+        if let Some(run) = &self.runs.lock()[partition] {
+            if run.covers(store, &self.columns) {
+                return run.clone();
             }
-            Bound::Excluded(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_le())
-            }
-        };
-        let hi = match &range.upper {
-            Bound::Unbounded => rows.len(),
-            Bound::Included(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_le())
-            }
-            Bound::Excluded(b) => {
-                rows.partition_point(|r| cmp_prefix(&key_of(r, &self.columns), b).is_lt())
-            }
-        };
-        rows[lo..hi.max(lo)].to_vec()
+        }
+        let run = Arc::new(SortedRun::build(store, &self.columns));
+        self.runs.lock()[partition] = Some(run.clone());
+        run
     }
 }
 
@@ -107,72 +104,53 @@ impl Index {
 mod tests {
     use super::*;
     use crate::catalog::{IndexId, TableId};
-    use ic_common::{DataType, Field, Schema};
+    use crate::write::{apply_op, WriteOp};
+    use ic_common::{Datum, Expr, Row};
 
-    fn setup() -> (Index, TableData) {
-        let schema = Schema::new(vec![Field::new("k", DataType::Int), Field::new("v", DataType::Int)]);
-        let data = TableData::new(2, schema);
-        // Unsorted inserts across two partitions.
-        data.insert_into_partition(
-            0,
-            vec![
-                Row(vec![Datum::Int(5), Datum::Int(50)]),
-                Row(vec![Datum::Int(1), Datum::Int(10)]),
-                Row(vec![Datum::Int(3), Datum::Int(30)]),
-            ],
-        );
-        data.insert_into_partition(
-            1,
-            vec![
-                Row(vec![Datum::Int(4), Datum::Int(40)]),
-                Row(vec![Datum::Int(2), Datum::Int(20)]),
-                Row(vec![Datum::Int(2), Datum::Int(21)]),
-            ],
-        );
-        let def = IndexDef { id: IndexId(0), name: "ix".into(), table: TableId(0), columns: vec![0] };
-        let ix = Index::build(&def, &data);
-        (ix, data)
+    fn key_order(run: &SortedRun, store: &PartStore) -> Vec<Row> {
+        run.positions
+            .iter()
+            .map(|&(s, i)| store.segments[s as usize].batch.row_at(i as usize))
+            .collect()
+    }
+
+    fn setup() -> (Index, PartStore) {
+        let rows: Vec<Row> = [5, 1, 3, 2, 2]
+            .iter()
+            .enumerate()
+            .map(|(i, &k)| Row(vec![Datum::Int(k), Datum::Int(i as i64)]))
+            .collect();
+        let store = PartStore::default().appended(&rows);
+        let def =
+            IndexDef { id: IndexId(0), name: "ix".into(), table: TableId(0), columns: vec![0] };
+        (Index::new(&def, 1), store)
     }
 
     #[test]
-    fn partitions_sorted() {
-        let (ix, _) = setup();
-        for p in 0..2 {
-            let rows = ix.partition_sorted(p);
-            for w in rows.windows(2) {
-                assert!(w[0].0[0] <= w[1].0[0]);
-            }
-        }
-        assert_eq!(ix.total_entries(), 6);
+    fn positions_follow_key_order_with_stable_ties() {
+        let (ix, store) = setup();
+        let run = ix.sorted(0, &store);
+        let keys: Vec<(i64, i64)> = key_order(&run, &store)
+            .iter()
+            .map(|r| (r.0[0].as_int().unwrap(), r.0[1].as_int().unwrap()))
+            .collect();
+        assert_eq!(keys, vec![(1, 1), (2, 3), (2, 4), (3, 2), (5, 0)]);
     }
 
     #[test]
-    fn point_lookup() {
-        let (ix, _) = setup();
-        let hits = ix.range_scan(1, &KeyRange::point(vec![Datum::Int(2)]));
-        assert_eq!(hits.len(), 2);
-        let miss = ix.range_scan(0, &KeyRange::point(vec![Datum::Int(99)]));
-        assert!(miss.is_empty());
-    }
-
-    #[test]
-    fn range_bounds() {
-        let (ix, _) = setup();
-        // keys in partition 0 are [1,3,5]
-        let r = KeyRange {
-            lower: Bound::Included(vec![Datum::Int(2)]),
-            upper: Bound::Excluded(vec![Datum::Int(5)]),
-        };
-        let hits = ix.range_scan(0, &r);
-        assert_eq!(hits.len(), 1);
-        assert_eq!(hits[0].0[0], Datum::Int(3));
-        let r = KeyRange { lower: Bound::Excluded(vec![Datum::Int(1)]), upper: Bound::Unbounded };
-        assert_eq!(ix.range_scan(0, &r).len(), 2);
-    }
-
-    #[test]
-    fn full_scan_range() {
-        let (ix, _) = setup();
-        assert_eq!(ix.range_scan(0, &KeyRange::all()).len(), 3);
+    fn run_is_reused_until_key_columns_change() {
+        let (ix, store) = setup();
+        let run = ix.sorted(0, &store);
+        assert!(Arc::ptr_eq(&run, &ix.sorted(0, &store)));
+        // A non-key update keeps the key columns, hence the run.
+        let set_v = WriteOp::Update { assignments: vec![(1, Expr::lit(9i64))], predicate: None };
+        let (updated, _) = apply_op(&store, &set_v, &[0]).unwrap();
+        assert!(Arc::ptr_eq(&run, &ix.sorted(0, &updated)));
+        // A key update re-sorts over the new snapshot.
+        let set_k = WriteOp::Update { assignments: vec![(0, Expr::lit(0i64))], predicate: None };
+        let (rekeyed, _) = apply_op(&updated, &set_k, &[]).unwrap();
+        let fresh = ix.sorted(0, &rekeyed);
+        assert!(!Arc::ptr_eq(&run, &fresh));
+        assert_eq!(key_order(&fresh, &rekeyed), rekeyed.to_rows());
     }
 }

@@ -3,9 +3,9 @@
 //! counts (NDV, used by the Eq. 3 join-size estimator), min/max, and null
 //! fractions (used by selectivity estimation).
 
-use crate::table::TableData;
+use crate::table::{PartStore, Segment, TableData};
 use ic_common::hash::FxHashSet;
-use ic_common::{Datum, Row};
+use ic_common::{Column, ColumnData, Datum, Row};
 
 /// Statistics for one column.
 #[derive(Debug, Clone)]
@@ -30,43 +30,17 @@ impl TableStats {
         TableStats { row_count: 0, columns: Vec::new() }
     }
 
-    /// Exact single-pass computation over all partitions. At the simulated
-    /// scale exact NDV is cheap; Ignite uses sketches but serves the same
-    /// quantities.
+    /// Exact single-pass computation over all partitions, column by column
+    /// over the stored segments. At the simulated scale exact NDV is cheap;
+    /// Ignite uses sketches but serves the same quantities.
     pub fn compute(data: &TableData) -> TableStats {
-        let arity = data.schema().arity();
-        let mut distinct: Vec<FxHashSet<Datum>> = (0..arity).map(|_| FxHashSet::default()).collect();
-        let mut nulls = vec![0u64; arity];
-        let mut mins: Vec<Option<Datum>> = vec![None; arity];
-        let mut maxs: Vec<Option<Datum>> = vec![None; arity];
-        let mut rows = 0u64;
-        for p in 0..data.num_partitions() {
-            for row in data.partition(p).iter() {
-                rows += 1;
-                for (c, v) in row.0.iter().enumerate() {
-                    if v.is_null() {
-                        nulls[c] += 1;
-                        continue;
-                    }
-                    distinct[c].insert(v.clone());
-                    if mins[c].as_ref().is_none_or(|m| v < m) {
-                        mins[c] = Some(v.clone());
-                    }
-                    if maxs[c].as_ref().is_none_or(|m| v > m) {
-                        maxs[c] = Some(v.clone());
-                    }
-                }
-            }
-        }
+        let stores: Vec<PartStore> = (0..data.num_partitions()).map(|p| data.store(p)).collect();
+        let segments: Vec<&Segment> =
+            stores.iter().flat_map(|s| s.segments.iter().map(|g| &**g)).collect();
         TableStats {
-            row_count: rows,
-            columns: (0..arity)
-                .map(|c| ColumnStats {
-                    ndv: distinct[c].len() as u64,
-                    null_count: nulls[c],
-                    min: mins[c].clone(),
-                    max: maxs[c].clone(),
-                })
+            row_count: segments.iter().map(|s| s.len() as u64).sum(),
+            columns: (0..data.schema().arity())
+                .map(|c| column_stats(segments.iter().map(|s| &**s.batch.col(c))))
                 .collect(),
         }
     }
@@ -128,6 +102,45 @@ impl TableStats {
         s.row_count = new_count;
         s
     }
+}
+
+/// Stats of one column from its per-segment pieces. Strings are counted
+/// by borrowed `&str` so only distinct values are ever materialized.
+fn column_stats<'a>(pieces: impl Iterator<Item = &'a Column>) -> ColumnStats {
+    let mut strs: FxHashSet<&str> = FxHashSet::default();
+    let mut others: FxHashSet<Datum> = FxHashSet::default();
+    let (mut min, mut max): (Option<Datum>, Option<Datum>) = (None, None);
+    let mut null_count = 0u64;
+    let mut widen = |v: Datum| {
+        if min.as_ref().is_none_or(|m| v < *m) {
+            min = Some(v.clone());
+        }
+        if max.as_ref().is_none_or(|m| v > *m) {
+            max = Some(v);
+        }
+    };
+    for col in pieces {
+        for i in 0..col.len() {
+            if !col.is_valid(i) {
+                null_count += 1;
+                continue;
+            }
+            if let ColumnData::Str { .. } = col.data {
+                let s = col.str_at(i);
+                if strs.insert(s) {
+                    widen(Datum::str(s));
+                }
+            } else {
+                let v = col.datum_at(i);
+                if others.insert(v.clone()) {
+                    widen(v);
+                }
+            }
+        }
+    }
+    // A string can sit in both sets when a mixed-type segment holds it.
+    let both = others.iter().filter(|d| d.as_str().is_some_and(|s| strs.contains(s))).count();
+    ColumnStats { ndv: (strs.len() + others.len() - both) as u64, null_count, min, max }
 }
 
 #[cfg(test)]

@@ -27,9 +27,10 @@
 //! all-or-nothing.
 
 use crate::catalog::{Catalog, TableDistribution, TableId};
-use crate::table::{PartStore, TableData};
+use crate::table::{push_rows, PartStore, Segment, TableData};
+use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::obs::{Counter, MetricsRegistry};
-use ic_common::{Expr, IcError, IcResult, Row};
+use ic_common::{Column, ColumnBatch, ColumnBuilder, Expr, IcError, IcResult, Row};
 use ic_net::wire::WireSize;
 use ic_net::{NetError, Network, SiteId};
 use std::sync::{Arc, OnceLock};
@@ -81,6 +82,7 @@ struct WriteMetrics {
     rows: Arc<Counter>,
     batches: Arc<Counter>,
     conflicts: Arc<Counter>,
+    segments_rebuilt: Arc<Counter>,
 }
 
 fn metrics() -> &'static WriteMetrics {
@@ -91,6 +93,7 @@ fn metrics() -> &'static WriteMetrics {
             rows: reg.counter("storage.write.rows"),
             batches: reg.counter("storage.write.batches"),
             conflicts: reg.counter("storage.write.conflicts"),
+            segments_rebuilt: reg.counter("storage.write.segments_rebuilt"),
         }
     })
 }
@@ -100,73 +103,149 @@ fn metrics() -> &'static WriteMetrics {
 /// the same op against the same snapshot yields the same store on every
 /// replica, which is what lets backups confirm delivery before any state
 /// changes.
+///
+/// Predicates and assignments run column-wise over each stored segment.
+/// Only segments holding matched rows are rebuilt — and within them only
+/// the assigned columns — while every other segment is shared by pointer.
+/// When nothing matches, the input snapshot itself comes back with 0 rows
+/// affected.
 pub fn apply_op(store: &PartStore, op: &WriteOp, primary_key: &[usize]) -> IcResult<(PartStore, usize)> {
     let version = store.version + 1;
-    let mut rows: Vec<Row> = (*store.rows).clone();
-    let mut row_versions: Vec<u64> = (*store.row_versions).clone();
-    let affected = match op {
-        WriteOp::Insert { rows: new_rows } => {
-            for nr in new_rows {
-                let existing = (!primary_key.is_empty()).then(|| {
-                    rows.iter().position(|r| {
-                        primary_key.iter().all(|&k| r.0.get(k) == nr.0.get(k))
-                    })
-                });
-                match existing.flatten() {
-                    Some(i) => {
-                        rows[i] = nr.clone();
-                        row_versions[i] = version;
-                    }
-                    None => {
-                        rows.push(nr.clone());
-                        row_versions.push(version);
-                    }
-                }
-            }
-            new_rows.len()
-        }
-        WriteOp::Update { assignments, predicate } => {
-            let mut n = 0;
-            for (i, row) in rows.iter_mut().enumerate() {
-                let matched = match predicate {
-                    Some(p) => p.eval_filter(row)?,
-                    None => true,
-                };
-                if !matched {
-                    continue;
-                }
-                let pre_image = row.clone();
-                for (col, expr) in assignments {
-                    row.0[*col] = expr.eval(&pre_image)?;
-                }
-                row_versions[i] = version;
-                n += 1;
-            }
-            n
-        }
-        WriteOp::Delete { predicate } => {
-            let before = rows.len();
-            let mut keep = Vec::with_capacity(rows.len());
-            for row in &rows {
-                let matched = match predicate {
-                    Some(p) => p.eval_filter(row)?,
-                    None => true,
-                };
-                keep.push(!matched);
-            }
-            let mut it = keep.iter();
-            // ic-lint: allow(L001) because keep has exactly one entry per row by construction
-            rows.retain(|_| *it.next().expect("keep mask length"));
-            let mut it = keep.iter();
-            // ic-lint: allow(L001) because keep has exactly one entry per row by construction
-            row_versions.retain(|_| *it.next().expect("keep mask length"));
-            before - rows.len()
-        }
+    let predicate = match op {
+        WriteOp::Insert { rows } => return Ok((upsert(store, rows, primary_key), rows.len())),
+        WriteOp::Update { predicate, .. } | WriteOp::Delete { predicate } => predicate,
     };
-    Ok((
-        PartStore { version, rows: Arc::new(rows), row_versions: Arc::new(row_versions) },
-        affected,
-    ))
+    // Copy-on-write segment list: allocated at the first matching segment.
+    let mut out: Option<Vec<Arc<Segment>>> = None;
+    let mut affected = 0;
+    for (s, seg) in store.segments.iter().enumerate() {
+        let sel = match predicate {
+            Some(p) => eval_filter_sel(p, &seg.batch)?,
+            None => (0..seg.len() as u32).collect(),
+        };
+        let segments = match (&mut out, sel.is_empty()) {
+            (Some(segments), true) => {
+                segments.push(seg.clone());
+                continue;
+            }
+            (None, true) => continue,
+            (Some(segments), false) => segments,
+            (None, false) => out.insert(store.segments[..s].to_vec()),
+        };
+        affected += sel.len();
+        match op {
+            WriteOp::Update { assignments, .. } => {
+                // Every assignment reads the pre-image of the matched rows.
+                let matched = seg.batch.with_sel(sel.clone());
+                let values: Vec<Arc<Column>> = assignments
+                    .iter()
+                    .map(|(_, e)| eval_expr(e, &matched))
+                    .collect::<IcResult<_>>()?;
+                let cols: Vec<usize> = assignments.iter().map(|(c, _)| *c).collect();
+                segments.push(Arc::new(patch_segment(seg, &sel, &cols, &values, version)));
+            }
+            _ if sel.len() == seg.len() => {} // every row deleted: drop the segment
+            _ => {
+                let mut keep = Vec::with_capacity(seg.len() - sel.len());
+                let mut matched = sel.iter().peekable();
+                for i in 0..seg.len() as u32 {
+                    if matched.next_if_eq(&&i).is_none() {
+                        keep.push(i);
+                    }
+                }
+                let versions = keep.iter().map(|&i| seg.versions[i as usize]).collect();
+                let batch = seg.batch.with_sel(keep).gather();
+                segments.push(Arc::new(Segment { batch, versions }));
+            }
+        }
+    }
+    Ok(match out {
+        Some(segments) => (PartStore { version, segments: Arc::new(segments) }, affected),
+        None => (store.clone(), 0),
+    })
+}
+
+/// `seg` with its rows `sel` (ascending) stamped `version` and, in columns
+/// `cols`, replaced by the values of `values` (one column per entry of
+/// `cols`, one value per entry of `sel`). Other columns stay shared.
+fn patch_segment(
+    seg: &Segment,
+    sel: &[u32],
+    cols: &[usize],
+    values: &[Arc<Column>],
+    version: u64,
+) -> Segment {
+    let mut columns = seg.batch.columns().to_vec();
+    for (&c, vals) in cols.iter().zip(values) {
+        let mut b = ColumnBuilder::new();
+        let mut k = 0;
+        for i in 0..seg.len() {
+            if sel.get(k) == Some(&(i as u32)) {
+                b.push_from_column(vals, k);
+                k += 1;
+            } else {
+                b.push_from_column(seg.batch.col(c), i);
+            }
+        }
+        columns[c] = Arc::new(b.finish());
+    }
+    let mut versions = seg.versions.clone();
+    for &i in sel {
+        versions[i as usize] = version;
+    }
+    Segment { batch: ColumnBatch::new(columns, seg.len()), versions }
+}
+
+/// Upsert by primary key: a row whose key matches a stored row replaces it
+/// in place (its segment is rebuilt), otherwise it is appended; within one
+/// batch the last row for a key wins.
+fn upsert(store: &PartStore, rows: &[Row], primary_key: &[usize]) -> PartStore {
+    let version = store.version + 1;
+    let same_key = |a: &Row, b: &Row| primary_key.iter().all(|&k| a.0.get(k) == b.0.get(k));
+    // (segment, row, replacement) triples, and the rows to append.
+    let mut replace: Vec<(usize, usize, &Row)> = Vec::new();
+    let mut append: Vec<&Row> = Vec::new();
+    for row in rows {
+        if !primary_key.is_empty() {
+            if let Some(a) = append.iter_mut().find(|a| same_key(a, row)) {
+                *a = row;
+                continue;
+            }
+            if let Some((s, i)) = find_key(store, row, primary_key) {
+                replace.push((s, i, row));
+                continue;
+            }
+        }
+        append.push(row);
+    }
+    let mut segments: Vec<Arc<Segment>> = (*store.segments).clone();
+    replace.sort_by_key(|&(s, i, _)| (s, i)); // stable: later rows still win
+    for group in replace.chunk_by(|a, b| a.0 == b.0) {
+        let last: Vec<_> = group.chunk_by(|a, b| a.1 == b.1).filter_map(<[_]>::last).collect();
+        let sel: Vec<u32> = last.iter().map(|r| r.1 as u32).collect();
+        let new = ColumnBatch::from_rows(&last.iter().map(|r| r.2.clone()).collect::<Vec<_>>());
+        let cols: Vec<usize> = (0..new.width()).collect();
+        let s = group[0].0;
+        let patched = patch_segment(&store.segments[s], &sel, &cols, new.columns(), version);
+        segments[s] = Arc::new(patched);
+    }
+    let append: Vec<Row> = append.into_iter().cloned().collect();
+    push_rows(&mut segments, &append, version);
+    PartStore { version, segments: Arc::new(segments) }
+}
+
+/// First stored row whose primary key equals `row`'s (`Datum` equality).
+fn find_key(store: &PartStore, row: &Row, primary_key: &[usize]) -> Option<(usize, usize)> {
+    store.segments.iter().enumerate().find_map(|(s, seg)| {
+        (0..seg.len())
+            .find(|&i| primary_key.iter().all(|&k| seg.batch.col(k).eq_datum(i, &row.0[k])))
+            .map(|i| (s, i))
+    })
+}
+
+/// Segments of `next` that `base` does not share: what a write rebuilt.
+fn rebuilt_segments(base: &PartStore, next: &PartStore) -> u64 {
+    next.segments.iter().filter(|s| !base.segments.iter().any(|b| Arc::ptr_eq(b, s))).count() as u64
 }
 
 /// Execute a DML op against `table`, routing to partitions by the
@@ -354,6 +433,7 @@ fn write_partition(
     }
     // Phase 2: version-checked commit to the primary and every confirming
     // backup in one swap.
+    let rebuilt = rebuilt_segments(&store, &new_store);
     data.commit(partition, &ack_sites, store.version, new_store).map_err(|found| {
         metrics().conflicts.inc();
         IcError::WriteConflict {
@@ -363,6 +443,7 @@ fn write_partition(
         }
     })?;
     drop(guard);
+    metrics().segments_rebuilt.add(rebuilt);
     // Below the *target* replication factor (only possible when the whole
     // cluster is short on live members) ⇒ the ack is degraded: the caller
     // should re-replicate as soon as capacity returns.
@@ -409,6 +490,7 @@ fn write_replicated(
         }
     }
     let sites = data.replica_sites(0);
+    let rebuilt = rebuilt_segments(&store, &new_store);
     data.commit(0, &sites, store.version, new_store).map_err(|found| {
         metrics().conflicts.inc();
         IcError::WriteConflict {
@@ -418,6 +500,7 @@ fn write_replicated(
         }
     })?;
     drop(guard);
+    metrics().segments_rebuilt.add(rebuilt);
     Ok((affected, degraded))
 }
 
@@ -474,7 +557,7 @@ mod tests {
             let stores: Vec<PartStore> =
                 sites.iter().map(|&s| data.replica(p, s).unwrap()).collect();
             assert_eq!(stores[0].version, stores[1].version);
-            assert_eq!(stores[0].rows.len(), stores[1].rows.len());
+            assert!(Arc::ptr_eq(&stores[0].segments, &stores[1].segments));
         }
     }
 
@@ -485,7 +568,7 @@ mod tests {
         execute_dml(&cat, &net, id, &WriteOp::Insert { rows: vec![row(1, 99)] }, None).unwrap();
         let data = cat.table_data(id).unwrap();
         assert_eq!(data.total_rows(), 1);
-        assert_eq!(data.all_rows()[0].0[1], Datum::Int(99));
+        assert_eq!(data.to_rows()[0].0[1], Datum::Int(99));
     }
 
     #[test]
@@ -546,8 +629,8 @@ mod tests {
         assert!(err.is_failover_retryable(), "got {err}");
         let primary = data.replica(2, SiteId(2)).unwrap();
         let backup = data.replica(2, SiteId(3)).unwrap();
-        assert_eq!(primary.rows.len(), 0, "a refused write must commit nothing");
-        assert_eq!(backup.rows.len(), 0, "dead backup must not silently receive the write");
+        assert_eq!(primary.len(), 0, "a refused write must commit nothing");
+        assert_eq!(backup.len(), 0, "dead backup must not silently receive the write");
     }
 
     #[test]

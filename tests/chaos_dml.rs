@@ -121,7 +121,7 @@ fn run_scenario() -> ScenarioOutcome {
         let stores: Vec<_> = live.iter().map(|&s| data.replica(p, s).unwrap()).collect();
         for s in &stores[1..] {
             assert_eq!(s.version, stores[0].version, "partition {p} replica version skew");
-            assert_eq!(s.rows.len(), stores[0].rows.len(), "partition {p} replica row skew");
+            assert_eq!(s.len(), stores[0].len(), "partition {p} replica row skew");
         }
     }
     (acked, rows, retries)
@@ -159,25 +159,36 @@ fn readers_see_whole_batches_only() {
     let id = catalog.table_by_name("kv").unwrap();
     let data = catalog.table_data(id).unwrap();
     let stop = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
+    // Set once the reader has scanned every partition: the writes start
+    // only then, so they are sure to overlap the reads however fast they
+    // commit.
+    let reading = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(false));
     let reader = {
         let data = data.clone();
         let stop = stop.clone();
+        let reading = reading.clone();
         std::thread::spawn(move || {
             let mut observed = 0u64;
             while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                 for p in 0..data.num_partitions() {
                     let store = data.store(p);
-                    // Parallel columns always agree, and no row carries a
-                    // version newer than its store: the snapshot is a
-                    // committed prefix, never a torn write.
-                    assert_eq!(store.rows.len(), store.row_versions.len());
-                    assert!(store.row_versions.iter().all(|&v| v <= store.version));
+                    // Each segment's columns and versions agree, and no row
+                    // carries a version newer than its store: the snapshot
+                    // is a committed prefix, never a torn write.
+                    for seg in store.segments.iter() {
+                        assert_eq!(seg.batch.num_rows(), seg.versions.len());
+                        assert!(seg.versions.iter().all(|&v| v <= store.version));
+                    }
                     observed += 1;
                 }
+                reading.store(true, std::sync::atomic::Ordering::Relaxed);
             }
             observed
         })
     };
+    while !reading.load(std::sync::atomic::Ordering::Relaxed) {
+        std::thread::yield_now();
+    }
     for batch in 0..40i64 {
         let values: Vec<String> = (0..BATCH)
             .map(|j| format!("({}, {j}, {batch})", batch * BATCH + j))

@@ -75,3 +75,46 @@ fn dml_regression_seeds_replay_green() {
         }
     }
 }
+
+/// Secondary indexes follow writes. An index used to be a copy of the rows
+/// taken at ANALYZE (or at CREATE INDEX), so no index scan ever saw later
+/// DML. Reproduction at TPC-H SF 0.002 (seed 1) on 4 sites, IC+: raise one
+/// line of order 7 to quantity 1000 — a table scan then sums 1099 for the
+/// order — and Q18, planned through `IndexScan(lineitem.ix_l_pk)`, must
+/// list order 7 among its large-volume orders.
+#[test]
+fn index_scans_see_committed_writes() {
+    use ignite_calcite_rs::benchdata::tpch;
+    use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, NetworkConfig, SystemVariant};
+    use std::time::Duration;
+
+    let cluster = Cluster::new(ClusterConfig {
+        sites: 4,
+        variant: SystemVariant::ICPlus,
+        network: NetworkConfig::instant(),
+        exec_timeout: Some(Duration::from_secs(60)),
+        planner_budget: None,
+        memory_limit_rows: 20_000_000,
+        ..ClusterConfig::default()
+    });
+    for ddl in tpch::DDL.iter().chain(tpch::INDEX_DDL) {
+        cluster.run(ddl).unwrap();
+    }
+    for t in tpch::generate(0.002, 1) {
+        cluster.insert(t.name, t.rows).unwrap();
+    }
+    cluster.analyze_all().unwrap();
+    cluster
+        .dml("UPDATE lineitem SET l_quantity = 1000 WHERE l_orderkey = 7 AND l_linenumber = 1")
+        .unwrap();
+    let total = cluster.query("SELECT sum(l_quantity) FROM lineitem WHERE l_orderkey = 7").unwrap();
+    assert_eq!(total.rows[0].0[0].as_double(), Some(1099.0), "table scan sees the write");
+    let q18 = tpch::query(18);
+    let plan = cluster.explain(&q18).unwrap();
+    assert!(plan.contains("IndexScan(lineitem.ix_l_pk)"), "Q18 no longer reads the index:\n{plan}");
+    let rows = cluster.query(&q18).unwrap().rows;
+    assert!(
+        rows.iter().any(|r| r.0[2] == Datum::Int(7)),
+        "Q18 through the index misses order 7: {rows:?}"
+    );
+}
