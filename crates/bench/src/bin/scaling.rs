@@ -1,10 +1,11 @@
 //! Intra-fragment scaling curve: one fixed 4-site cluster, worker pool
-//! width swept 0 → N threads per site, wall time per query shape.
+//! width swept 1 → N threads per site, wall time per query shape.
 //!
-//! `worker_threads = 0` is the pre-morsel sequential runtime (one thread
-//! drains each fragment instance); `1` runs the morsel pipeline with a
-//! single lane per site; `2+` adds lanes that pull from the shared morsel
-//! supply and steal across pre-assignments. Two query shapes bracket the
+//! The `seq` point runs one worker with a morsel larger than any table, so
+//! every fragment instance runs as the sequential chain on its driver
+//! thread; `1` runs the morsel pipeline with a single lane per site; `2+`
+//! adds lanes that pull from the shared morsel supply and steal across
+//! pre-assignments. Two query shapes bracket the
 //! paper's Figures 9/10 finding that multithreading helps
 //! distributed-computation-heavy queries and does nothing (or slightly
 //! hurts) root-fragment-bound ones:
@@ -18,11 +19,13 @@
 //!   is CPU-bound, so on a host with few cores extra lanes buy little;
 //!   the point of measuring it is that it must not *regress*.
 //!
-//! Writes `BENCH_scaling.json`. `--smoke` runs a reduced-size sweep and
-//! asserts the acceptance floor: ship speedup ≥ 1.8× at 4 threads vs 1,
-//! and the single-lane pipeline within 15% of the sequential runtime.
-//! Knobs: `IC_BENCH_SCALING_ROWS`, `IC_BENCH_SCALING_REPS`.
+//! Writes `BENCH_scaling.json` with host, commit and config. `--smoke` runs
+//! a reduced-size sweep, writes `target/bench-smoke/BENCH_scaling.json`
+//! instead, and asserts the acceptance floor: ship speedup ≥ 1.8× at 4
+//! threads vs 1, and the single-lane pipeline within 15% of the sequential
+//! chain. Knobs: `IC_BENCH_SCALING_ROWS`, `IC_BENCH_SCALING_REPS`.
 
+use ic_bench::{bench_meta_json, bench_output_path};
 use ic_core::{Cluster, ClusterConfig, Datum, NetworkConfig, Row, SystemVariant};
 use std::time::{Duration, Instant};
 
@@ -31,7 +34,8 @@ const SITES: usize = 4;
 /// into ~dozens of morsels (work to steal), large enough that per-morsel
 /// overhead stays invisible.
 const MORSEL_ROWS: usize = 4096;
-const THREADS: [usize; 4] = [0, 1, 2, 4];
+/// Pipeline widths swept after the sequential point.
+const THREADS: [usize; 3] = [1, 2, 4];
 
 const SHIP_SQL: &str = "SELECT id, grp, val FROM fact WHERE val >= 0";
 const AGG_SQL: &str = "SELECT name, count(*) AS n, sum(val) AS s \
@@ -55,7 +59,6 @@ fn base_cluster(rows: i64) -> Cluster {
         network: calibrated_network(),
         exec_timeout: Some(Duration::from_secs(120)),
         memory_limit_rows: 60_000_000,
-        worker_threads: 0,
         ..ClusterConfig::test_default()
     });
     cluster
@@ -94,7 +97,10 @@ fn measure(cluster: &Cluster, sql: &str, reps: usize, expect_rows: usize) -> Dur
 }
 
 struct Point {
+    /// `seq` for the sequential reference, else the worker count.
+    label: String,
     threads: usize,
+    morsel_rows: usize,
     ship: Duration,
     agg: Duration,
 }
@@ -110,34 +116,37 @@ fn run_sweep(rows: i64, reps: usize) -> Vec<Point> {
     let mut points = Vec::new();
     let mut base_ship = None;
     let mut base_agg = None;
-    for &threads in &THREADS {
-        // threads = 0 keeps the pre-morsel sequential runtime; ≥ 1 swaps
-        // in the per-site pool with that many lanes. Same catalog, same
-        // loaded data, fresh network either way.
-        let cluster = base.with_worker_threads(threads, MORSEL_ROWS);
+    // The sequential point: a morsel larger than any table keeps every
+    // fragment on the sequential chain. Same catalog, same loaded data,
+    // fresh network at every point.
+    let sweep = std::iter::once(("seq".to_string(), 1, rows as usize + 1))
+        .chain(THREADS.iter().map(|&t| (t.to_string(), t, MORSEL_ROWS)));
+    for (label, threads, morsel_rows) in sweep {
+        let cluster = base.with_worker_threads(threads, morsel_rows);
         let ship = measure(&cluster, SHIP_SQL, reps, ship_rows);
         let agg = measure(&cluster, AGG_SQL, reps, agg_rows);
         let (b_ship, b_agg) =
             (*base_ship.get_or_insert(ship), *base_agg.get_or_insert(agg));
         println!(
-            "{threads:>7} {:>10.1} {:>8.2}x {:>10.1} {:>8.2}x",
+            "{label:>7} {:>10.1} {:>8.2}x {:>10.1} {:>8.2}x",
             ship.as_secs_f64() * 1e3,
             b_ship.as_secs_f64() / ship.as_secs_f64().max(1e-9),
             agg.as_secs_f64() * 1e3,
             b_agg.as_secs_f64() / agg.as_secs_f64().max(1e-9),
         );
-        points.push(Point { threads, ship, agg });
+        points.push(Point { label, threads, morsel_rows, ship, agg });
     }
     points
 }
 
-fn point_for(points: &[Point], threads: usize) -> &Point {
-    points.iter().find(|p| p.threads == threads).expect("sweep point")
+fn point_for<'a>(points: &'a [Point], label: &str) -> &'a Point {
+    points.iter().find(|p| p.label == label).expect("sweep point")
 }
 
-fn write_json(rows: i64, reps: usize, points: &[Point]) {
-    let one = point_for(points, 1);
+fn write_json(rows: i64, reps: usize, points: &[Point], smoke: bool) {
+    let one = point_for(points, "1");
     let mut json = String::from("{\n");
+    json.push_str(&format!("  {}, \"smoke\": {smoke},\n", bench_meta_json()));
     json.push_str(&format!(
         "  \"sites\": {SITES}, \"rows\": {rows}, \"morsel_rows\": {MORSEL_ROWS}, \"reps\": {reps},\n"
     ));
@@ -146,9 +155,11 @@ fn write_json(rows: i64, reps: usize, points: &[Point]) {
     ));
     for (i, p) in points.iter().enumerate() {
         json.push_str(&format!(
-            "    {{\"worker_threads\": {}, \"ship_ms\": {:.3}, \"agg_ms\": {:.3}, \
-\"ship_speedup_vs_1\": {:.3}, \"agg_speedup_vs_1\": {:.3}}}{}\n",
+            "    {{\"point\": \"{}\", \"worker_threads\": {}, \"morsel_rows\": {}, \"ship_ms\": {:.3}, \
+\"agg_ms\": {:.3}, \"ship_speedup_vs_1\": {:.3}, \"agg_speedup_vs_1\": {:.3}}}{}\n",
+            p.label,
             p.threads,
+            p.morsel_rows,
             p.ship.as_secs_f64() * 1e3,
             p.agg.as_secs_f64() * 1e3,
             one.ship.as_secs_f64() / p.ship.as_secs_f64().max(1e-9),
@@ -157,14 +168,15 @@ fn write_json(rows: i64, reps: usize, points: &[Point]) {
         ));
     }
     json.push_str("  ]\n}\n");
-    std::fs::write("BENCH_scaling.json", &json).expect("write BENCH_scaling.json");
-    println!("\nwrote BENCH_scaling.json");
+    let path = bench_output_path("scaling", smoke);
+    std::fs::write(&path, &json).expect("write scaling bench record");
+    println!("\nwrote {}", path.display());
 }
 
 /// The acceptance floor the CI smoke asserts: wire-bound work must scale,
 /// and the single-lane pipeline must not tax what it doesn't parallelize.
 fn assert_floor(points: &[Point]) {
-    let (p0, p1, p4) = (point_for(points, 0), point_for(points, 1), point_for(points, 4));
+    let (p0, p1, p4) = (point_for(points, "seq"), point_for(points, "1"), point_for(points, "4"));
     let speedup = p1.ship.as_secs_f64() / p4.ship.as_secs_f64().max(1e-9);
     assert!(
         speedup >= 1.8,
@@ -176,7 +188,7 @@ fn assert_floor(points: &[Point]) {
     let tax = p1.ship.as_secs_f64() / p0.ship.as_secs_f64().max(1e-9);
     assert!(
         tax <= 1.15,
-        "single-lane pipeline regressed {tax:.2}x vs the sequential runtime: \
+        "single-lane pipeline regressed {tax:.2}x vs the sequential chain: \
          {:.1} ms vs {:.1} ms",
         p1.ship.as_secs_f64() * 1e3,
         p0.ship.as_secs_f64() * 1e3
@@ -190,5 +202,5 @@ fn main() {
     let reps = env_u64("IC_BENCH_SCALING_REPS", if smoke { 3 } else { 5 }) as usize;
     let points = run_sweep(rows, reps);
     assert_floor(&points);
-    write_json(rows, reps, &points);
+    write_json(rows, reps, &points, smoke);
 }

@@ -1,4 +1,5 @@
-//! Rows and batches — the unit of data flow between operators.
+//! Rows: the tuple format of client result sets, loads and the reference
+//! evaluator (operators exchange `ColumnBatch`es), and the batch size.
 
 use crate::datum::Datum;
 use std::fmt;
@@ -92,8 +93,8 @@ impl From<Vec<Datum>> for Row {
     }
 }
 
-/// A batch of rows: the unit shipped over exchanges. Batching amortizes
-/// channel and simulated-network overhead, like Ignite's message batching.
+/// A batch of rows in the row wire framing (`ic_net::wire::encode_batch`);
+/// operators exchange `ColumnBatch`es.
 pub type Batch = Vec<Row>;
 
 /// Default number of rows per batch at exchange boundaries.

@@ -77,8 +77,11 @@ pub struct ClusterConfig {
     /// Resource-governor sizing: admission slots, wait-queue bound, and
     /// the shared memory-pool budget all queries lease from.
     pub governor: GovernorConfig,
-    /// Morsel-pool workers per site (intra-fragment parallelism degree);
-    /// 0 disables pooled execution (pre-morsel sequential runtime).
+    /// Morsel-pool workers per site (intra-fragment parallelism degree),
+    /// clamped to ≥1. A fragment whose scan input is less than two morsels
+    /// runs as the sequential chain on its driver thread whatever the
+    /// width, so a morsel larger than every table makes execution fully
+    /// sequential.
     pub worker_threads: usize,
     /// Rows per morsel (work-stealing granule).
     pub morsel_rows: usize,

@@ -1,31 +1,40 @@
 //! Columnar execution kernels: tight per-column loops over contiguous
-//! [`ColumnBatch`] buffers, behind `HashJoinExec`, `HashAggExec` and
-//! `SortExec`.
+//! [`ColumnBatch`] buffers, behind the join, aggregate and sort operators.
 //!
 //! This module is the hot core of the columnar data plane and is lint-gated
-//! by rule L008: no per-row `Datum` materialization inside kernel loops —
-//! values move through typed column accessors (`push_from_column`,
-//! `eq_at`/`eq_datum`, `cmp_at`, vectorized hashing) and the few
-//! unavoidable per-*group* datum touches carry explicit pragmas.
+//! by rules L008 (no per-row `Datum` materialization inside kernel loops —
+//! values move through typed column accessors: `push_from_column`,
+//! `eq_at`/`eq_datum`, `cmp_at`, vectorized hashing; the few unavoidable
+//! per-*group* datum touches carry explicit pragmas) and L012 (no heap
+//! allocation inside kernel loops).
 //!
-//! [`ColJoinTable`] chains build rows by their 64-bit key hash inside an
-//! `ic_common::hash::FlatMap`; rows are appended column-wise into a
-//! [`ColumnBuilder`] arena and frozen into a dense [`ColumnBatch`] once the
-//! build side is exhausted, so probes resolve key equality with typed
-//! column-vs-column comparisons (`eq_at`) instead of datum clones. Chains
-//! preserve build insertion order, which keeps join output bit-identical to
-//! the row plane in [`crate::row_kernels`]. [`ColGroupTable`] stores group
-//! keys flattened into one `Vec<Datum>` (materialized once per distinct
-//! group) and accumulators flattened into one `Vec<Accumulator>`; per-batch
-//! accumulation runs one typed loop per aggregate over the argument column,
-//! skipping validity-masked rows (NULL updates are no-ops for every
-//! accumulator).
+//! Joins: the three pair generators — [`ColJoinTable`]'s hash chains,
+//! [`merge_join_pairs`]'s cursor over a sorted arena and [`cross_pairs`] for
+//! nested loops — all produce `(probe row, arena row)` index pairs that the
+//! operators' shared output path materializes through
+//! [`gather_join_output`]. [`ColJoinTable`] chains build rows by their
+//! 64-bit key hash inside an `ic_common::hash::FlatMap`; rows are appended
+//! column-wise into a [`ColumnBuilder`] arena and frozen into a dense
+//! [`ColumnBatch`] once the build side is exhausted, so probes resolve key
+//! equality with typed column-vs-column comparisons (`eq_at`) instead of
+//! datum clones. Chains preserve build insertion order.
+//!
+//! Aggregates: [`ColGroupTable`] stores group keys flattened into one
+//! `Vec<Datum>` (materialized once per distinct group) and accumulators
+//! flattened into one `Vec<Accumulator>`. Rows find their slot by hashing
+//! ([`ColGroupTable::slots_for_batch`]) or, over sorted input, by comparing
+//! with the previous row's key ([`ColGroupTable::slots_for_sorted_batch`]);
+//! either way per-batch accumulation runs one typed loop per aggregate over
+//! the argument column, skipping validity-masked rows (NULL updates are
+//! no-ops for every accumulator).
 
 use ic_common::agg::Accumulator;
 use ic_common::hash::FlatMap;
+use ic_common::row::BATCH_SIZE;
 use ic_common::{Column, ColumnBatch, ColumnBuilder, ColumnData, Datum, IcResult};
 use ic_plan::ops::{AggCall, SortKey};
 use std::cmp::Ordering;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Sentinel index: end of a hash chain, or "no build match" in a probe
@@ -131,36 +140,24 @@ impl ColJoinTable {
 
     /// Probe one batch, producing parallel `(probe logical row, arena row)`
     /// pair vectors in probe-row order with per-key matches in build
-    /// insertion order. With `emit_unmatched` (LEFT joins), a probe row
-    /// with no match contributes one `(k, NIL)` pair at its position; NULL
-    /// probe keys match nothing.
-    pub fn probe_pairs(
-        &self,
-        batch: &ColumnBatch,
-        probe_keys: &[usize],
-        emit_unmatched: bool,
-    ) -> (Vec<u32>, Vec<u32>) {
+    /// insertion order. NULL probe keys match nothing.
+    pub fn probe_pairs(&self, batch: &ColumnBatch, probe_keys: &[usize]) -> (Vec<u32>, Vec<u32>) {
         let hashes = batch.hash_keys(probe_keys);
         let n = batch.num_rows();
         let mut pks: Vec<u32> = Vec::with_capacity(n);
         let mut bis: Vec<u32> = Vec::with_capacity(n);
         for (k, &hash) in hashes.iter().enumerate().take(n) {
             let phys = batch.phys_index(k);
-            let mut found = false;
-            if !probe_keys.iter().any(|&c| !batch.col(c).is_valid(phys)) {
-                let mut cur = self.map.get(hash, |_| true).unwrap_or(NIL);
-                while cur != NIL {
-                    if self.key_eq(batch, probe_keys, phys, cur) {
-                        pks.push(k as u32);
-                        bis.push(cur);
-                        found = true;
-                    }
-                    cur = self.next[cur as usize];
-                }
+            if probe_keys.iter().any(|&c| !batch.col(c).is_valid(phys)) {
+                continue;
             }
-            if !found && emit_unmatched {
-                pks.push(k as u32);
-                bis.push(NIL);
+            let mut cur = self.map.get(hash, |_| true).unwrap_or(NIL);
+            while cur != NIL {
+                if self.key_eq(batch, probe_keys, phys, cur) {
+                    pks.push(k as u32);
+                    bis.push(cur);
+                }
+                cur = self.next[cur as usize];
             }
         }
         (pks, bis)
@@ -189,6 +186,90 @@ impl ColJoinTable {
         }
         out
     }
+}
+
+/// Lexicographic `cmp_at` order between key columns `a_keys` of physical
+/// row `i` in `a` and `b_keys` of physical row `j` in `b`.
+#[inline]
+fn keys_cmp(
+    a: &ColumnBatch,
+    a_keys: &[usize],
+    i: usize,
+    b: &ColumnBatch,
+    b_keys: &[usize],
+    j: usize,
+) -> Ordering {
+    for (&ac, &bc) in a_keys.iter().zip(b_keys) {
+        let ord = a.col(ac).cmp_at(i, b.col(bc), j);
+        if ord != Ordering::Equal {
+            return ord;
+        }
+    }
+    Ordering::Equal
+}
+
+/// Merge-join pair generator: for logical rows of `probe` from `start` on
+/// (sorted ascending on `probe_keys`, continuing the order of earlier rows
+/// and batches), the run of rows of the dense `arena` (sorted ascending on
+/// `arena_keys`) with an equal key. Stops after the probe row that brings
+/// the pair count to `BATCH_SIZE`, and returns the pairs with the probe row
+/// to resume from. `cursor` persists across calls: it only moves forward,
+/// past arena keys below the current probe key, and stays at the start of
+/// the current key run so the next probe row with the same key — in this
+/// batch or the next — finds the run again. Comparisons are typed
+/// `cmp_at`/`eq_at`, ordering values as `Datum::cmp` does; a probe row with
+/// a NULL key matches nothing.
+pub fn merge_join_pairs(
+    probe: &ColumnBatch,
+    start: usize,
+    probe_keys: &[usize],
+    arena: &ColumnBatch,
+    arena_keys: &[usize],
+    cursor: &mut usize,
+) -> ((Vec<u32>, Vec<u32>), usize) {
+    let n = probe.num_rows();
+    let end = arena.num_rows();
+    let mut pks: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
+    let mut bis: Vec<u32> = Vec::with_capacity(BATCH_SIZE);
+    for k in start..n {
+        if pks.len() >= BATCH_SIZE {
+            return ((pks, bis), k);
+        }
+        let phys = probe.phys_index(k);
+        if probe_keys.iter().any(|&c| !probe.col(c).is_valid(phys)) {
+            continue;
+        }
+        let below = |j: usize| keys_cmp(arena, arena_keys, j, probe, probe_keys, phys).is_lt();
+        let equal = |j: usize| {
+            arena_keys.iter().zip(probe_keys).all(|(&ac, &pc)| arena.col(ac).eq_at(j, probe.col(pc), phys))
+        };
+        while *cursor < end && below(*cursor) {
+            *cursor += 1;
+        }
+        let mut j = *cursor;
+        while j < end && equal(j) {
+            pks.push(k as u32);
+            bis.push(j as u32);
+            j += 1;
+        }
+    }
+    ((pks, bis), n)
+}
+
+/// Nested-loop pair generator: every `(probe row, arena row)` pair for
+/// probe rows `rows` against an arena of `arena_rows` rows, in probe-row
+/// order.
+pub fn cross_pairs(rows: Range<usize>, arena_rows: usize) -> (Vec<u32>, Vec<u32>) {
+    let n = rows.len() * arena_rows;
+    let mut pks: Vec<u32> = Vec::with_capacity(n);
+    let mut bis: Vec<u32> = Vec::with_capacity(n);
+    for k in rows {
+        for j in 0..arena_rows {
+            pks.push(k as u32);
+            bis.push(j as u32);
+        }
+    }
+    (pks, bis)
 }
 
 /// Materialize hash-join output pairs: probe columns gathered by logical
@@ -306,6 +387,61 @@ impl ColGroupTable {
             }
             slots.push(slot);
         }
+    }
+
+    /// Resolve every logical row of `batch`, sorted on the group columns, to
+    /// its group slot without hashing: a row whose key equals the previous
+    /// row's (typed `eq_at`; NULL equals NULL) joins that row's group, any
+    /// other row opens a new group at the end of the table. The first row
+    /// compares with the table's last group, so a group straddling a batch
+    /// boundary continues where the previous batch left it.
+    pub fn slots_for_sorted_batch(
+        &mut self,
+        batch: &ColumnBatch,
+        aggs: &[AggCall],
+        slots: &mut Vec<u32>,
+    ) {
+        slots.clear();
+        let klen = self.group_cols.len();
+        let n = batch.num_rows();
+        if klen == 0 {
+            self.ensure_scalar_group(aggs);
+            slots.resize(n, 0);
+            return;
+        }
+        for k in 0..n {
+            let phys = batch.phys_index(k);
+            let same = if k > 0 {
+                let prev = batch.phys_index(k - 1);
+                self.group_cols.iter().all(|&c| batch.col(c).eq_at(prev, batch.col(c), phys))
+            } else if self.ngroups > 0 {
+                let base = (self.ngroups - 1) * klen;
+                self.group_cols
+                    .iter()
+                    .enumerate()
+                    .all(|(i, &c)| batch.col(c).eq_datum(phys, &self.keys[base + i]))
+            } else {
+                false
+            };
+            if !same {
+                for &c in &self.group_cols {
+                    // ic-lint: allow(L008) because group keys materialize once per distinct group, not per row
+                    self.keys.push(batch.col(c).datum_at(phys));
+                }
+                self.accs.extend(aggs.iter().map(|a| Accumulator::new(a.func)));
+                self.ngroups += 1;
+            }
+            slots.push(self.ngroups as u32 - 1);
+        }
+    }
+
+    /// Drop every group but the last — the sort aggregate's open group,
+    /// after the closed ones were emitted.
+    pub fn retain_last_group(&mut self) {
+        let closed = self.ngroups.saturating_sub(1);
+        self.keys.drain(..closed * self.group_cols.len());
+        self.accs.drain(..closed * self.naggs);
+        self.ngroups -= closed;
     }
 
     /// Fold one argument column into aggregate `agg_idx` of each row's
@@ -528,7 +664,7 @@ mod tests {
         t.insert_batch(&batch(&[&[7, 1], &[8, 2], &[7, 3], &[7, 4]]));
         t.finish_build();
         let probe = batch(&[&[7], &[9]]);
-        let (pks, bis) = t.probe_pairs(&probe, &[0], false);
+        let (pks, bis) = t.probe_pairs(&probe, &[0]);
         assert_eq!(pks, vec![0, 0, 0]);
         let seconds: Vec<Datum> =
             bis.iter().map(|&bi| t.arena().datum_at(1, bi as usize)).collect();
@@ -546,10 +682,8 @@ mod tests {
         t.finish_build();
         assert_eq!(t.len(), 1);
         let probe = ColumnBatch::from_rows(&[Row(vec![Datum::Null]), Row(vec![Datum::Int(1)])]);
-        let (pks, bis) = t.probe_pairs(&probe, &[0], true);
-        assert_eq!(pks, vec![0, 1]);
-        assert_eq!(bis[0], NIL);
-        assert_eq!(bis[1], 0);
+        let (pks, bis) = t.probe_pairs(&probe, &[0]);
+        assert_eq!((pks, bis), (vec![1], vec![0]));
         assert_eq!(t.probe_matched(&probe, &[0]), vec![false, true]);
     }
 
@@ -564,7 +698,7 @@ mod tests {
         t.finish_build();
         assert_eq!(t.len(), 5_000);
         let probe: Vec<Row> = (0..1000i64).map(|k| Row(vec![Datum::Int(k)])).collect();
-        let (pks, _) = t.probe_pairs(&ColumnBatch::from_rows(&probe), &[0], false);
+        let (pks, _) = t.probe_pairs(&ColumnBatch::from_rows(&probe), &[0]);
         assert_eq!(pks.len(), 5_000);
     }
 
@@ -574,8 +708,7 @@ mod tests {
         t.insert_batch(&batch(&[&[2, 20]]));
         t.finish_build();
         let probe = batch(&[&[1], &[2]]);
-        let (pks, bis) = t.probe_pairs(&probe, &[0], true);
-        let out = gather_join_output(&probe, &pks, t.arena(), &bis);
+        let out = gather_join_output(&probe, &[0, 1], t.arena(), &[NIL, 0]);
         let rows = out.to_rows();
         assert_eq!(rows.len(), 2);
         assert!(rows[0].0[1].is_null() && rows[0].0[2].is_null());

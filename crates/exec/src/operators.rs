@@ -1,29 +1,39 @@
 //! Physical operator implementations: pull-based batch iterators
 //! (Volcano-style execution, batched to amortize channel overhead).
 //!
-//! The data plane is columnar: operators exchange [`ColumnBatch`]es —
-//! typed column vectors with validity bitmaps and an optional selection
-//! vector — so filters shrink the selection instead of materializing
-//! output, projections share column `Arc`s, and the join/agg/sort kernels
-//! in [`crate::kernels`] run tight per-column loops. Scans hand out the
-//! stored column segments themselves ([`ScanSource`]) or gather from them
-//! ([`MergingIndexScan`]); rows exist only at the client rowset and inside
-//! the row-internal operators ([`NestedLoopJoinExec`], [`MergeJoinExec`],
-//! [`SortAggExec`]) whose per-row predicates and streaming group logic gain
-//! nothing from columns.
+//! The data plane is columnar end to end: every operator exchanges
+//! [`ColumnBatch`]es — typed column vectors with validity bitmaps and an
+//! optional selection vector — so filters shrink the selection instead of
+//! materializing output, projections share column `Arc`s, and the join/agg/
+//! sort kernels in [`crate::kernels`] run tight per-column loops. Scans hand
+//! out the stored column segments themselves ([`ScanSource`]) or gather from
+//! them ([`MergingIndexScan`]); rows exist only at the client rowset
+//! ([`drain`] and the root sink convert once, with `to_rows`).
+//!
+//! Joins share one output path ([`emit_join`]: residual, per-probe-row
+//! regrouping, LEFT null extension, SEMI/ANTI selection, batch-sized
+//! segments) and differ only in how they generate `(probe row, build row)`
+//! pairs: hash chains ([`HashJoinExec`], [`SharedProbeExec`]), a merge cursor
+//! over a sorted arena ([`MergeJoinExec`]), or a bounded cross product
+//! ([`NestedLoopJoinExec`]). Both aggregates fold through the same
+//! [`ColGroupTable`] loops; they differ only in how rows find their group
+//! slot (hashing vs comparing with the previous row's key).
 
-use crate::kernels::{gather_join_output, ColGroupTable, ColJoinTable, NIL};
+use crate::kernels::{
+    cross_pairs, gather_join_output, merge_join_pairs, ColGroupTable, ColJoinTable, NIL,
+};
 use ic_common::agg::Accumulator;
 use ic_common::eval::{eval_expr, eval_filter_sel};
 use ic_common::obs::{AttemptStats, Counter, SpanId, Trace};
 use ic_common::row::BATCH_SIZE;
 use ic_common::{
-    Batch, Column, ColumnBatch, ColumnBuilder, Datum, Expr, IcError, IcResult, MemoryLease,
-    MemoryPool, Row,
+    Column, ColumnBatch, ColumnBuilder, Datum, Expr, IcError, IcResult, MemoryLease, MemoryPool,
+    Row,
 };
 use ic_plan::ops::{AggCall, AggPhase, JoinKind, SortKey};
 use ic_storage::{PartStore, Segment, SortedRun};
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -304,25 +314,6 @@ impl RowSource for TracedSource {
         self.ctrl.op_next(self.node, rows, dt, produced);
         result
     }
-
-    // Forward the row-format path so tracing a query doesn't force
-    // column↔row conversions the untraced plan wouldn't pay. A row batch
-    // has no selection vector, so physical == logical rows.
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let t0 = self.ctrl.op_now_ns();
-        let result = self.inner.next_rows();
-        let dt = self.ctrl.op_now_ns().saturating_sub(t0);
-        self.busy_ns += dt;
-        let (rows, produced) = match &result {
-            Ok(Some(b)) => (b.len() as u64, true),
-            _ => (0, false),
-        };
-        self.rows += rows;
-        self.phys_rows += rows;
-        self.batches += u64::from(produced);
-        self.ctrl.op_next(self.node, rows, dt, produced);
-        result
-    }
 }
 
 impl Drop for TracedSource {
@@ -347,39 +338,23 @@ impl Drop for TracedSource {
     }
 }
 
-/// A pull-based columnar batch stream.
+/// A pull-based columnar batch stream — the one interface between
+/// operators.
 pub trait RowSource: Send {
     /// The next batch, or `None` at end of stream.
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>>;
-
-    /// The next batch in row format. Row-native sources (partition scans,
-    /// index merges) and row-internal operators (merge join, nested-loop
-    /// join, sort aggregate) override this so chains of row operators hand
-    /// rows across directly instead of round-tripping every batch through
-    /// columns; the default converts at the boundary. Consumers pick the
-    /// format they compute in, so a plan pays for at most one conversion
-    /// per format change, never one per operator edge.
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        Ok(self.next_batch()?.map(|b| b.to_rows()))
-    }
 }
 
 pub type BoxedSource = Box<dyn RowSource>;
 
-/// Drain a source into a row vector (the final client rowset shim).
+/// Drain a source into a row vector (the client rowset: each batch converts
+/// to rows once, here).
 pub fn drain(mut src: BoxedSource) -> IcResult<Vec<Row>> {
     let mut out = Vec::new();
-    while let Some(mut b) = src.next_rows()? {
-        out.append(&mut b);
+    while let Some(b) = src.next_batch()? {
+        out.extend(b.to_rows());
     }
     Ok(out)
-}
-
-/// Account for a row-format buffer against the query lease (the
-/// row-internal operators' edges; cells = rows × width).
-fn reserve_rows(ctrl: &ControlBlock, rows: &[Row]) -> IcResult<()> {
-    let cells = rows.first().map_or(0, |r| r.arity().max(1)) * rows.len();
-    ctrl.reserve(cells)
 }
 
 // ----------------------------------------------------------------- sources
@@ -406,16 +381,6 @@ impl RowSource for VecSource {
         let batch = ColumnBatch::from_rows(&self.rows[self.pos..end]);
         self.pos = end;
         Ok(Some(batch))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        if self.pos >= self.rows.len() {
-            return Ok(None);
-        }
-        let end = (self.pos + BATCH_SIZE).min(self.rows.len());
-        let out = self.rows[self.pos..end].to_vec();
-        self.pos = end;
-        Ok(Some(out))
     }
 }
 
@@ -561,17 +526,6 @@ impl RowSource for MergingIndexScan {
             .collect();
         Ok(Some(ColumnBatch::new(columns, picked.len())))
     }
-
-    // Row consumers (merge join, sort aggregate — the usual readers of an
-    // index's collation) get their rows built straight from the stored
-    // columns, without a gathered batch in between.
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let picked = self.pick()?;
-        if picked.is_empty() {
-            return Ok(None);
-        }
-        Ok(Some(picked.iter().map(|&(r, s, i)| self.segment(r, s).row_at(i as usize)).collect()))
-    }
 }
 
 // ------------------------------------------------------------ row shapers
@@ -602,25 +556,6 @@ impl RowSource for FilterExec {
             }
             if !sel.is_empty() {
                 return Ok(Some(batch.select_logical(&sel)));
-            }
-        }
-    }
-
-    /// Row-format consumers (merge join, NLJ) get row-at-a-time filtering
-    /// over the input's row stream — the two paths agree by the
-    /// `eval_filter_sel` ≡ per-row `eval_filter` property (kernel_props).
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        loop {
-            self.ctrl.check()?;
-            let Some(rows) = self.input.next_rows()? else { return Ok(None) };
-            let mut out = Batch::with_capacity(rows.len());
-            for row in rows {
-                if self.predicate.eval_filter(&row)? {
-                    out.push(row);
-                }
-            }
-            if !out.is_empty() {
-                return Ok(Some(out));
             }
         }
     }
@@ -663,87 +598,146 @@ impl RowSource for ProjectExec {
             self.exprs.iter().map(|e| eval_expr(e, &batch)).collect::<IcResult<_>>()?;
         Ok(Some(ColumnBatch::new(out, batch.num_rows())))
     }
-
-    /// Bare-column projections stay in row format for row consumers;
-    /// computed expressions fall back to the vectorized evaluator and
-    /// convert at this edge.
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        let Some(cols) = self.cols.clone() else {
-            return Ok(self.next_batch()?.map(|b| b.to_rows()));
-        };
-        self.ctrl.check()?;
-        let Some(rows) = self.input.next_rows()? else { return Ok(None) };
-        Ok(Some(rows.iter().map(|r| r.project(&cols)).collect()))
-    }
 }
 
 // ----------------------------------------------------------------- joins
 
-/// Shared join emission logic for one probe row against its matches
-/// (row-internal joins: nested-loop and merge).
-fn emit_matches(
+/// Push `pairs[start..]` through [`gather_join_output`] in batch-sized
+/// segments, cutting only at probe-row boundaries so one probe row's match
+/// run is never split across output batches.
+fn emit_pair_segments(
+    probe: &ColumnBatch,
+    pks: &[u32],
+    arena: &ColumnBatch,
+    bis: &[u32],
+    out: &mut VecDeque<ColumnBatch>,
+) {
+    let mut start = 0;
+    while start < pks.len() {
+        let mut end = (start + BATCH_SIZE).min(pks.len());
+        while end < pks.len() && pks[end] == pks[end - 1] {
+            end += 1;
+        }
+        out.push_back(gather_join_output(probe, &pks[start..end], arena, &bis[start..end]));
+        start = end;
+    }
+}
+
+/// The output half every join shares. `pks`/`bis` are the key matches of
+/// probe rows `rows` (logical indices into `probe`), in probe-row order,
+/// with build rows indexing `arena` — whichever pair generator found them.
+/// The residual runs vectorized over the gathered pairs; the survivors are
+/// regrouped per probe row, where LEFT joins null-extend a row with no
+/// surviving match (a `NIL` build index) and SEMI/ANTI joins keep a
+/// selection over the probe batch instead of materializing pairs.
+fn emit_join(
     kind: JoinKind,
-    left_row: &Row,
-    matches: &mut dyn Iterator<Item = &Row>,
+    probe: &ColumnBatch,
+    rows: Range<usize>,
+    (pks, bis): (Vec<u32>, Vec<u32>),
+    arena: &ColumnBatch,
     residual: Option<&Expr>,
-    right_arity: usize,
-    out: &mut Batch,
+    out: &mut VecDeque<ColumnBatch>,
 ) -> IcResult<()> {
-    match kind {
-        JoinKind::Inner | JoinKind::Left => {
-            let mut any = false;
-            for r in matches {
-                let joined = left_row.concat(r);
-                if let Some(res) = residual {
-                    if !res.eval_filter(&joined)? {
-                        continue;
-                    }
-                }
+    let pass = match residual {
+        Some(res) => {
+            let joined = gather_join_output(probe, &pks, arena, &bis);
+            let mut pass = vec![false; pks.len()];
+            for j in eval_filter_sel(res, &joined)? {
+                pass[j as usize] = true;
+            }
+            Some(pass)
+        }
+        None => None,
+    };
+    if kind == JoinKind::Inner && pass.is_none() {
+        emit_pair_segments(probe, &pks, arena, &bis, out);
+        return Ok(());
+    }
+    let passed = |i: usize| pass.as_ref().is_none_or(|p| p[i]);
+    let (mut out_pks, mut out_bis) = (Vec::new(), Vec::new());
+    let mut i = 0;
+    for k in rows {
+        let k = k as u32;
+        let mut any = false;
+        while i < pks.len() && pks[i] == k {
+            if passed(i) {
                 any = true;
-                out.push(joined);
-            }
-            if !any && kind == JoinKind::Left {
-                let nulls = Row(vec![Datum::Null; right_arity]);
-                out.push(left_row.concat(&nulls));
-            }
-        }
-        JoinKind::Semi | JoinKind::Anti => {
-            let mut any = false;
-            for r in matches {
-                let joined = left_row.concat(r);
-                match residual {
-                    Some(res) if !res.eval_filter(&joined)? => continue,
-                    _ => {
-                        any = true;
-                        break;
-                    }
+                if matches!(kind, JoinKind::Inner | JoinKind::Left) {
+                    out_pks.push(k);
+                    out_bis.push(bis[i]);
                 }
             }
-            if any == (kind == JoinKind::Semi) {
-                out.push(left_row.clone());
-            }
+            i += 1;
         }
+        match kind {
+            JoinKind::Left if !any => {
+                out_pks.push(k);
+                out_bis.push(NIL);
+            }
+            JoinKind::Semi | JoinKind::Anti if any == (kind == JoinKind::Semi) => out_pks.push(k),
+            _ => {}
+        }
+    }
+    match kind {
+        JoinKind::Inner | JoinKind::Left => emit_pair_segments(probe, &out_pks, arena, &out_bis, out),
+        JoinKind::Semi | JoinKind::Anti if !out_pks.is_empty() => {
+            out.push_back(probe.select_logical(&out_pks));
+        }
+        JoinKind::Semi | JoinKind::Anti => {}
     }
     Ok(())
 }
 
-/// Nested-loop join: buffers the right side, streams the left. Output is
-/// produced in bounded batches — the loop state (left batch position,
-/// right position) persists across `next_batch` calls so a high-fan-out
-/// join never materializes more than one batch of output. Row-internal:
-/// the arbitrary `on` predicate is evaluated per joined row.
+/// Buffer a join's right input as one dense arena, accounted against the
+/// query's memory lease.
+fn buffer_arena(src: &mut BoxedSource, width: usize, ctrl: &ControlBlock) -> IcResult<ColumnBatch> {
+    let mut batches = Vec::new();
+    while let Some(b) = src.next_batch()? {
+        ctrl.check()?;
+        ctrl.reserve_batch(&b)?;
+        batches.push(b);
+    }
+    Ok(if batches.is_empty() { ColumnBatch::empty(width) } else { ColumnBatch::concat(&batches) })
+}
+
+/// `None` for an always-true join condition (no residual to evaluate).
+fn residual_of(e: Expr) -> Option<Expr> {
+    (!e.is_true_literal()).then_some(e)
+}
+
+/// The left batch a streaming join (merge, nested loop) is working through
+/// and the next row of it to pair, refilled from `left` once every row is
+/// paired; `None` at the end of the left input.
+fn left_rows<'a>(
+    current: &'a mut Option<(ColumnBatch, usize)>,
+    left: &mut BoxedSource,
+) -> IcResult<Option<&'a mut (ColumnBatch, usize)>> {
+    if current.as_ref().is_none_or(|(b, pos)| *pos >= b.num_rows()) {
+        match left.next_batch()? {
+            Some(b) => *current = Some((b, 0)),
+            None => return Ok(None),
+        }
+    }
+    Ok(current.as_mut())
+}
+
+/// Nested-loop join: buffers the right side as an arena and streams the
+/// left. Each step pairs a chunk of `max(1, BATCH_SIZE / right rows)` left
+/// rows with every right row and evaluates `on` over those pairs as the
+/// (vectorized) residual, so neither the pairs nor the output of one step
+/// exceed `max(BATCH_SIZE, right rows)` rows.
 pub struct NestedLoopJoinExec {
-    pub left: BoxedSource,
-    pub right: BoxedSource,
-    pub kind: JoinKind,
-    pub on: Expr,
-    pub right_arity: usize,
-    right_rows: Option<Vec<Row>>,
-    current: Option<Vec<Row>>,
-    li: usize,
-    ri: usize,
-    matched: bool,
-    pub ctrl: Arc<ControlBlock>,
+    left: BoxedSource,
+    right: BoxedSource,
+    kind: JoinKind,
+    on: Option<Expr>,
+    right_arity: usize,
+    arena: Option<ColumnBatch>,
+    /// The left batch being joined and the next row of it to pair.
+    current: Option<(ColumnBatch, usize)>,
+    output: VecDeque<ColumnBatch>,
+    ctrl: Arc<ControlBlock>,
 }
 
 impl NestedLoopJoinExec {
@@ -759,107 +753,41 @@ impl NestedLoopJoinExec {
             left,
             right,
             kind,
-            on,
+            on: residual_of(on),
             right_arity,
-            right_rows: None,
+            arena: None,
             current: None,
-            li: 0,
-            ri: 0,
-            matched: false,
+            output: VecDeque::new(),
             ctrl,
-        }
-    }
-}
-
-impl NestedLoopJoinExec {
-    fn produce(&mut self) -> IcResult<Option<Batch>> {
-        if self.right_rows.is_none() {
-            let mut rows = Vec::new();
-            while let Some(mut b) = self.right.next_rows()? {
-                self.ctrl.check()?;
-                reserve_rows(&self.ctrl, &b)?;
-                rows.append(&mut b);
-            }
-            self.right_rows = Some(rows);
-        }
-        let Some(right) = self.right_rows.as_ref() else {
-            return Err(IcError::Internal("nested-loop join: build side missing after build phase".into()));
-        };
-        let mut out = Batch::new();
-        loop {
-            if self.current.is_none() {
-                match self.left.next_rows()? {
-                    Some(b) => {
-                        self.current = Some(b);
-                        self.li = 0;
-                        self.ri = 0;
-                        self.matched = false;
-                    }
-                    None => {
-                        return Ok(if out.is_empty() { None } else { Some(out) });
-                    }
-                }
-            }
-            let Some(batch) = self.current.as_ref() else {
-                return Err(IcError::Internal("nested-loop join: probe batch missing".into()));
-            };
-            while self.li < batch.len() {
-                let left_row = &batch[self.li];
-                self.ctrl.check()?;
-                while self.ri < right.len() {
-                    let r = &right[self.ri];
-                    self.ri += 1;
-                    let joined = left_row.concat(r);
-                    if !self.on.eval_filter(&joined)? {
-                        continue;
-                    }
-                    match self.kind {
-                        JoinKind::Inner | JoinKind::Left => {
-                            self.matched = true;
-                            out.push(joined);
-                            if out.len() >= BATCH_SIZE {
-                                return Ok(Some(out));
-                            }
-                        }
-                        JoinKind::Semi => {
-                            out.push(left_row.clone());
-                            self.matched = true;
-                            self.ri = right.len(); // short-circuit
-                        }
-                        JoinKind::Anti => {
-                            self.matched = true;
-                            self.ri = right.len();
-                        }
-                    }
-                }
-                // End of the right side for this left row.
-                match self.kind {
-                    JoinKind::Left if !self.matched => {
-                        let nulls = Row(vec![Datum::Null; self.right_arity]);
-                        out.push(left_row.concat(&nulls));
-                    }
-                    JoinKind::Anti if !self.matched => out.push(left_row.clone()),
-                    _ => {}
-                }
-                self.li += 1;
-                self.ri = 0;
-                self.matched = false;
-                if out.len() >= BATCH_SIZE {
-                    return Ok(Some(out));
-                }
-            }
-            self.current = None;
         }
     }
 }
 
 impl RowSource for NestedLoopJoinExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        Ok(self.produce()?.map(|b| ColumnBatch::from_rows(&b)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        self.produce()
+        if self.arena.is_none() {
+            self.arena = Some(buffer_arena(&mut self.right, self.right_arity, &self.ctrl)?);
+        }
+        let Some(arena) = self.arena.as_ref() else {
+            return Err(IcError::Internal("nested-loop join: arena missing after build phase".into()));
+        };
+        loop {
+            self.ctrl.check()?;
+            if let Some(b) = self.output.pop_front() {
+                return Ok(Some(b));
+            }
+            let Some((batch, pos)) = left_rows(&mut self.current, &mut self.left)? else {
+                return Ok(None);
+            };
+            let chunk = match arena.num_rows() {
+                0 => batch.num_rows(),
+                n => (BATCH_SIZE / n).max(1),
+            };
+            let rows = *pos..(*pos + chunk).min(batch.num_rows());
+            *pos = rows.end;
+            let pairs = cross_pairs(rows.clone(), arena.num_rows());
+            emit_join(self.kind, batch, rows, pairs, arena, self.on.as_ref(), &mut self.output)?;
+        }
     }
 }
 
@@ -869,19 +797,17 @@ impl RowSource for NestedLoopJoinExec {
 /// The build side goes into a [`ColJoinTable`]: batches are appended
 /// column-wise into a contiguous arena and chained by 64-bit key hash, so
 /// the build loop never clones a key datum. Probes hash the key columns
-/// vectorized, walk each chain with typed column-vs-column equality, and
-/// produce `(probe row, arena row)` index pairs; output is materialized by
-/// [`gather_join_output`] one column at a time (`NIL` pairs drive LEFT
-/// null-extension). SEMI/ANTI joins skip materialization entirely — the
-/// result is a selection over the probe batch. Chains preserve build
-/// insertion order, keeping output bit-identical to the row plane.
+/// vectorized and walk each chain with typed column-vs-column equality to
+/// produce `(probe row, arena row)` pairs for [`emit_join`]. SEMI/ANTI joins
+/// without a residual skip pairs entirely — one match flag per probe row.
+/// Chains preserve build insertion order, so output order is deterministic.
 pub struct HashJoinExec {
     pub left: BoxedSource,
     pub right: BoxedSource,
     pub kind: JoinKind,
     pub left_keys: Vec<usize>,
     pub right_keys: Vec<usize>,
-    pub residual: Expr,
+    residual: Option<Expr>,
     pub right_arity: usize,
     table: Option<ColJoinTable>,
     /// Output batches for the probe batch being processed (pairs are
@@ -912,7 +838,7 @@ impl HashJoinExec {
             kind,
             left_keys,
             right_keys,
-            residual,
+            residual: residual_of(residual),
             right_arity,
             table: None,
             output: VecDeque::new(),
@@ -932,27 +858,6 @@ impl Drop for HashJoinExec {
     }
 }
 
-/// Push `pairs[start..]` through [`gather_join_output`] in batch-sized
-/// segments, cutting only at probe-row boundaries so one probe row's match
-/// run is never split across output batches.
-fn emit_pair_segments(
-    probe: &ColumnBatch,
-    pks: &[u32],
-    arena: &ColumnBatch,
-    bis: &[u32],
-    out: &mut VecDeque<ColumnBatch>,
-) {
-    let mut start = 0;
-    while start < pks.len() {
-        let mut end = (start + BATCH_SIZE).min(pks.len());
-        while end < pks.len() && pks[end] == pks[end - 1] {
-            end += 1;
-        }
-        out.push_back(gather_join_output(probe, &pks[start..end], arena, &bis[start..end]));
-        start = end;
-    }
-}
-
 /// Probe one batch against the build table, appending output batches.
 fn probe_batch(
     table: &ColJoinTable,
@@ -962,77 +867,22 @@ fn probe_batch(
     batch: &ColumnBatch,
     out: &mut VecDeque<ColumnBatch>,
 ) -> IcResult<()> {
-    match (kind, residual) {
-        (JoinKind::Semi | JoinKind::Anti, None) => {
-            // Selection-only path: no output materialization at all.
-            let matched = table.probe_matched(batch, left_keys);
-            let want = kind == JoinKind::Semi;
-            let keep: Vec<u32> = matched
-                .iter()
-                .enumerate()
-                .filter_map(|(k, &m)| (m == want).then_some(k as u32))
-                .collect();
-            if !keep.is_empty() {
-                out.push_back(batch.select_logical(&keep));
-            }
+    if residual.is_none() && matches!(kind, JoinKind::Semi | JoinKind::Anti) {
+        // Selection-only path: a match flag per probe row, no pairs.
+        let want = kind == JoinKind::Semi;
+        let keep: Vec<u32> = table
+            .probe_matched(batch, left_keys)
+            .iter()
+            .enumerate()
+            .filter_map(|(k, &m)| (m == want).then_some(k as u32))
+            .collect();
+        if !keep.is_empty() {
+            out.push_back(batch.select_logical(&keep));
         }
-        (JoinKind::Inner | JoinKind::Left, None) => {
-            let (pks, bis) = table.probe_pairs(batch, left_keys, kind == JoinKind::Left);
-            emit_pair_segments(batch, &pks, table.arena(), &bis, out);
-        }
-        (_, Some(res)) => {
-            // Gather real pairs, run the residual vectorized over the
-            // joined batch, then regroup pass/fail per probe row.
-            let (pks, bis) = table.probe_pairs(batch, left_keys, false);
-            let joined = gather_join_output(batch, &pks, table.arena(), &bis);
-            let sel = eval_filter_sel(res, &joined)?;
-            let mut pass = vec![false; pks.len()];
-            for &j in &sel {
-                pass[j as usize] = true;
-            }
-            match kind {
-                JoinKind::Inner | JoinKind::Left => {
-                    let mut out_pks = Vec::with_capacity(sel.len());
-                    let mut out_bis = Vec::with_capacity(sel.len());
-                    let mut i = 0;
-                    for k in 0..batch.num_rows() as u32 {
-                        let mut any = false;
-                        while i < pks.len() && pks[i] == k {
-                            if pass[i] {
-                                out_pks.push(k);
-                                out_bis.push(bis[i]);
-                                any = true;
-                            }
-                            i += 1;
-                        }
-                        if !any && kind == JoinKind::Left {
-                            out_pks.push(k);
-                            out_bis.push(NIL);
-                        }
-                    }
-                    emit_pair_segments(batch, &out_pks, table.arena(), &out_bis, out);
-                }
-                JoinKind::Semi | JoinKind::Anti => {
-                    let mut keep = Vec::new();
-                    let mut i = 0;
-                    for k in 0..batch.num_rows() as u32 {
-                        let mut any = false;
-                        while i < pks.len() && pks[i] == k {
-                            any |= pass[i];
-                            i += 1;
-                        }
-                        if any == (kind == JoinKind::Semi) {
-                            keep.push(k);
-                        }
-                    }
-                    if !keep.is_empty() {
-                        out.push_back(batch.select_logical(&keep));
-                    }
-                }
-            }
-        }
+        return Ok(());
     }
-    Ok(())
+    let pairs = table.probe_pairs(batch, left_keys);
+    emit_join(kind, batch, 0..batch.num_rows(), pairs, table.arena(), residual, out)
 }
 
 impl RowSource for HashJoinExec {
@@ -1052,8 +902,6 @@ impl RowSource for HashJoinExec {
                 .add(table.len() as u64);
             self.table = Some(table);
         }
-        let residual =
-            if self.residual.is_true_literal() { None } else { Some(self.residual.clone()) };
         loop {
             self.ctrl.check()?;
             if let Some(b) = self.output.pop_front() {
@@ -1064,7 +912,7 @@ impl RowSource for HashJoinExec {
             let Some(table) = self.table.as_ref() else {
                 return Err(IcError::Internal("hash join: hash table missing after build phase".into()));
             };
-            probe_batch(table, self.kind, &self.left_keys, residual.as_ref(), &batch, &mut self.output)?;
+            probe_batch(table, self.kind, &self.left_keys, self.residual.as_ref(), &batch, &mut self.output)?;
         }
     }
 }
@@ -1095,13 +943,12 @@ impl SharedProbeExec {
         residual: Expr,
         ctrl: Arc<ControlBlock>,
     ) -> SharedProbeExec {
-        let residual = if residual.is_true_literal() { None } else { Some(residual) };
         SharedProbeExec {
             input,
             table,
             kind,
             left_keys,
-            residual,
+            residual: residual_of(residual),
             output: VecDeque::new(),
             probed: 0,
             ctrl,
@@ -1140,22 +987,30 @@ impl RowSource for SharedProbeExec {
     }
 }
 
-/// Merge join: inputs sorted on the keys; buffers both sides and merges
-/// key groups. Row-internal (the key-group walk is inherently sequential);
-/// batches convert at the buffering edge.
+/// Merge join: both inputs sorted ascending on the keys. The right side is
+/// buffered once as a dense arena; the left streams batch by batch while a
+/// cursor walks the arena with typed `cmp_at`/`eq_at` comparisons (ordering
+/// values as `Datum::cmp` does; NULL keys match nothing). Output follows
+/// left order, so the collation the planner promised still holds above the
+/// join. Each step pairs left rows until about `BATCH_SIZE` pairs are found,
+/// and the emitted batches are charged to the query's lease: a many-to-many
+/// merge over a low-cardinality key is where join output explodes, and the
+/// lease turns that into `MemoryLimit` instead of host memory exhaustion.
 pub struct MergeJoinExec {
-    pub left: BoxedSource,
-    pub right: BoxedSource,
-    pub kind: JoinKind,
-    pub left_keys: Vec<usize>,
-    pub right_keys: Vec<usize>,
-    pub residual: Expr,
-    pub right_arity: usize,
-    pub ctrl: Arc<ControlBlock>,
-    done: bool,
-    /// Merged output buffered in row format; conversion happens only if the
-    /// consumer pulls batches.
-    output: VecDeque<Batch>,
+    left: BoxedSource,
+    right: BoxedSource,
+    kind: JoinKind,
+    left_keys: Vec<usize>,
+    right_keys: Vec<usize>,
+    residual: Option<Expr>,
+    right_arity: usize,
+    arena: Option<ColumnBatch>,
+    /// First arena row whose key is not below the last probed left key.
+    cursor: usize,
+    /// The left batch being joined and the next row of it to pair.
+    current: Option<(ColumnBatch, usize)>,
+    output: VecDeque<ColumnBatch>,
+    ctrl: Arc<ControlBlock>,
 }
 
 impl MergeJoinExec {
@@ -1176,105 +1031,130 @@ impl MergeJoinExec {
             kind,
             left_keys,
             right_keys,
-            residual,
+            residual: residual_of(residual),
             right_arity,
+            arena: None,
+            cursor: 0,
+            current: None,
+            output: VecDeque::new(),
             ctrl,
-            done: false,
-            output: Default::default(),
         }
-    }
-
-    fn run_merge(&mut self) -> IcResult<()> {
-        let mut lrows = Vec::new();
-        while let Some(mut b) = self.left.next_rows()? {
-            self.ctrl.check()?;
-            reserve_rows(&self.ctrl, &b)?;
-            lrows.append(&mut b);
-        }
-        let mut rrows = Vec::new();
-        while let Some(mut b) = self.right.next_rows()? {
-            self.ctrl.check()?;
-            reserve_rows(&self.ctrl, &b)?;
-            rrows.append(&mut b);
-        }
-        let lkey = |r: &Row| r.project(&self.left_keys);
-        let rkey = |r: &Row| r.project(&self.right_keys);
-        let residual = if self.residual.is_true_literal() { None } else { Some(self.residual.clone()) };
-        let mut out = Batch::new();
-        let (mut i, mut j) = (0usize, 0usize);
-        while i < lrows.len() {
-            self.ctrl.check()?;
-            let k = lkey(&lrows[i]);
-            if k.0.iter().any(Datum::is_null) {
-                // NULL keys match nothing.
-                emit_matches(self.kind, &lrows[i], &mut std::iter::empty(), None, self.right_arity, &mut out)?;
-                i += 1;
-                continue;
-            }
-            // Advance right to the first key >= k.
-            while j < rrows.len() && rkey(&rrows[j]) < k {
-                j += 1;
-            }
-            // Right group equal to k.
-            let mut j2 = j;
-            while j2 < rrows.len() && rkey(&rrows[j2]) == k {
-                j2 += 1;
-            }
-            let group = &rrows[j..j2];
-            emit_matches(
-                self.kind,
-                &lrows[i],
-                &mut group.iter(),
-                residual.as_ref(),
-                self.right_arity,
-                &mut out,
-            )?;
-            if out.len() >= BATCH_SIZE {
-                reserve_rows(&self.ctrl, &out)?;
-                self.output.push_back(std::mem::take(&mut out));
-            }
-            i += 1;
-        }
-        if !out.is_empty() {
-            self.output.push_back(out);
-        }
-        Ok(())
     }
 }
 
 impl RowSource for MergeJoinExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        Ok(self.next_rows()?.map(|b| ColumnBatch::from_rows(&b)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        if !self.done {
-            self.run_merge()?;
-            self.done = true;
+        if self.arena.is_none() {
+            self.arena = Some(buffer_arena(&mut self.right, self.right_arity, &self.ctrl)?);
         }
-        Ok(self.output.pop_front())
+        let Some(arena) = self.arena.as_ref() else {
+            return Err(IcError::Internal("merge join: arena missing after build phase".into()));
+        };
+        loop {
+            self.ctrl.check()?;
+            if let Some(b) = self.output.pop_front() {
+                return Ok(Some(b));
+            }
+            let Some((batch, pos)) = left_rows(&mut self.current, &mut self.left)? else {
+                return Ok(None);
+            };
+            let (pairs, end) =
+                merge_join_pairs(batch, *pos, &self.left_keys, arena, &self.right_keys, &mut self.cursor);
+            let rows = *pos..end;
+            *pos = end;
+            let emitted = self.output.len();
+            emit_join(self.kind, batch, rows, pairs, arena, self.residual.as_ref(), &mut self.output)?;
+            for b in self.output.range(emitted..) {
+                self.ctrl.reserve_batch(b)?;
+            }
+        }
     }
 }
 
 // ------------------------------------------------------------- aggregates
 
+/// Fold one input batch into `groups`, given each row's group slot: typed
+/// per-column loops for `Complete`/`Partial`, a row-wise merge of the
+/// accumulator states for `Final` (state rows are short and heterogeneous).
+fn fold_batch(
+    phase: AggPhase,
+    group_len: usize,
+    aggs: &[AggCall],
+    groups: &mut ColGroupTable,
+    batch: &ColumnBatch,
+    slots: &[u32],
+) -> IcResult<()> {
+    match phase {
+        AggPhase::Complete | AggPhase::Partial => {
+            for (j, call) in aggs.iter().enumerate() {
+                match &call.arg {
+                    // Physical input columns fold directly through the
+                    // batch's selection vector.
+                    Some(Expr::Col(c)) => groups.accumulate(j, batch.col(*c), batch.selection(), slots)?,
+                    // Computed arguments evaluate vectorized into a
+                    // logically dense column first.
+                    Some(e) => groups.accumulate(j, &*eval_expr(e, batch)?, None, slots)?,
+                    None => groups.accumulate_count_star(j, slots)?,
+                }
+            }
+        }
+        AggPhase::Final => {
+            // Row layout: group keys then accumulator states.
+            for (k, &slot) in slots.iter().enumerate() {
+                let row = batch.row_at(k);
+                let mut pos = group_len;
+                for (acc, call) in groups.accs_mut(slot as usize).iter_mut().zip(aggs) {
+                    let w = Accumulator::state_width(call.func);
+                    acc.merge(Accumulator::from_state(call.func, &row.0[pos..pos + w])?)?;
+                    pos += w;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Emit groups `slots` of `groups` as one batch: key columns, then the
+/// finished values (`Complete`/`Final`) or the accumulator states
+/// (`Partial`).
+fn emit_groups(phase: AggPhase, groups: &mut ColGroupTable, slots: Range<usize>) -> ColumnBatch {
+    let n = slots.len();
+    let mut builders: Vec<ColumnBuilder> = Vec::new();
+    for slot in slots {
+        let (key, accs) = groups.take_group(slot);
+        let mut c = 0;
+        let mut push = |d: Datum| {
+            if c == builders.len() {
+                builders.push(ColumnBuilder::new());
+            }
+            builders[c].push_datum(d);
+            c += 1;
+        };
+        key.into_iter().for_each(&mut push);
+        for acc in accs {
+            match phase {
+                AggPhase::Complete | AggPhase::Final => push(acc.finish()),
+                AggPhase::Partial => acc.to_state().into_iter().for_each(&mut push),
+            }
+        }
+    }
+    ColumnBatch::new(builders.into_iter().map(|b| Arc::new(b.finish())).collect(), n)
+}
+
 /// Hash aggregate in any phase (§3.2's map-reduce split) — columnar build.
 ///
 /// Groups live in a [`ColGroupTable`]: each input batch is resolved to
 /// group slots in one vectorized-hash pass (key datums are cloned exactly
-/// once, at first sight of each group), then each aggregate folds its
-/// argument column in one typed loop that skips validity-masked rows. The
-/// Final phase merges accumulator states row-wise (state rows are short and
-/// heterogeneous). Output is emitted lazily in batch-sized chunks, one per
-/// `next_batch` call, so buffered state stays at the (already reserved)
-/// group table instead of doubling into an output queue.
+/// once, at first sight of each group), then [`fold_batch`] folds it. Output
+/// is emitted lazily in batch-sized chunks, one per `next_batch` call, so
+/// buffered state stays at the (already reserved) group table instead of
+/// doubling into an output queue.
 pub struct HashAggExec {
     pub input: BoxedSource,
     pub group: Vec<usize>,
     pub aggs: Vec<AggCall>,
     pub phase: AggPhase,
     pub ctrl: Arc<ControlBlock>,
-    done: bool,
     groups: Option<ColGroupTable>,
     emit_pos: usize,
 }
@@ -1287,52 +1167,17 @@ impl HashAggExec {
         phase: AggPhase,
         ctrl: Arc<ControlBlock>,
     ) -> Self {
-        HashAggExec { input, group, aggs, phase, ctrl, done: false, groups: None, emit_pos: 0 }
+        HashAggExec { input, group, aggs, phase, ctrl, groups: None, emit_pos: 0 }
     }
 
-    fn update_group(&self, accs: &mut [Accumulator], row: &Row) -> IcResult<()> {
-        apply_row(self.phase, &self.group, &self.aggs, accs, row)
-    }
-
-    fn finish_group(&self, key: Vec<Datum>, accs: &[Accumulator], out: &mut Batch) {
-        finish_group_row(self.phase, key, accs, out)
-    }
-
-    fn build(&mut self) -> IcResult<()> {
+    fn build(&mut self) -> IcResult<ColGroupTable> {
         let mut groups = ColGroupTable::new(self.group.clone(), self.aggs.len());
         let mut slots: Vec<u32> = Vec::new();
         while let Some(batch) = self.input.next_batch()? {
             self.ctrl.check()?;
             let before = groups.len();
             groups.slots_for_batch(&batch, &self.aggs, &mut slots);
-            match self.phase {
-                AggPhase::Complete | AggPhase::Partial => {
-                    for (j, call) in self.aggs.iter().enumerate() {
-                        match &call.arg {
-                            // Physical input columns fold directly through
-                            // the batch's selection vector.
-                            Some(Expr::Col(c)) => {
-                                groups.accumulate(j, batch.col(*c), batch.selection(), &slots)?;
-                            }
-                            // Computed arguments evaluate vectorized into a
-                            // logically dense column first.
-                            Some(e) => {
-                                let col = eval_expr(e, &batch)?;
-                                groups.accumulate(j, &col, None, &slots)?;
-                            }
-                            None => groups.accumulate_count_star(j, &slots)?,
-                        }
-                    }
-                }
-                AggPhase::Final => {
-                    // State rows are short (group keys + a few state
-                    // datums); merge them row-wise.
-                    for (k, &slot) in slots.iter().enumerate() {
-                        let row = batch.row_at(k);
-                        apply_row(self.phase, &self.group, &self.aggs, groups.accs_mut(slot as usize), &row)?;
-                    }
-                }
-            }
+            fold_batch(self.phase, self.group.len(), &self.aggs, &mut groups, &batch, &slots)?;
             let width = self.group.len() + self.aggs.len() * 2 + 1;
             self.ctrl.reserve((groups.len() - before) * width)?;
         }
@@ -1343,16 +1188,14 @@ impl HashAggExec {
         ic_common::obs::MetricsRegistry::global()
             .counter("exec.agg.groups")
             .add(groups.len() as u64);
-        self.groups = Some(groups);
-        Ok(())
+        Ok(groups)
     }
 }
 
 impl RowSource for HashAggExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        if !self.done {
-            self.build()?;
-            self.done = true;
+        if self.groups.is_none() {
+            self.groups = Some(self.build()?);
         }
         self.ctrl.check()?;
         let Some(groups) = self.groups.as_mut() else {
@@ -1362,75 +1205,28 @@ impl RowSource for HashAggExec {
             return Ok(None);
         }
         let end = (self.emit_pos + BATCH_SIZE).min(groups.len());
-        let mut out = Batch::with_capacity(end - self.emit_pos);
-        for slot in self.emit_pos..end {
-            let (key, accs) = groups.take_group(slot);
-            finish_group_row(self.phase, key, accs, &mut out);
-        }
+        let out = emit_groups(self.phase, groups, self.emit_pos..end);
         self.emit_pos = end;
-        Ok(Some(ColumnBatch::from_rows(&out)))
+        Ok(Some(out))
     }
-}
-
-/// Apply one input row to a group's accumulators (phase-dependent).
-fn apply_row(
-    phase: AggPhase,
-    group: &[usize],
-    aggs: &[AggCall],
-    accs: &mut [Accumulator],
-    row: &Row,
-) -> IcResult<()> {
-    match phase {
-        AggPhase::Complete | AggPhase::Partial => {
-            for (acc, call) in accs.iter_mut().zip(aggs) {
-                let v = match &call.arg {
-                    // Plain column refs skip the expression walk.
-                    Some(Expr::Col(c)) => row.0[*c].clone(),
-                    Some(e) => e.eval(row)?,
-                    None => Datum::Int(1), // COUNT(*)
-                };
-                acc.update(v)?;
-            }
-        }
-        AggPhase::Final => {
-            // Row layout: group keys then accumulator states.
-            let mut pos = group.len();
-            for (acc, call) in accs.iter_mut().zip(aggs) {
-                let w = Accumulator::state_width(call.func);
-                let state = &row.0[pos..pos + w];
-                acc.merge(Accumulator::from_state(call.func, state)?)?;
-                pos += w;
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Emit one finished group as an output row (phase-dependent shape).
-fn finish_group_row(phase: AggPhase, key: Vec<Datum>, accs: &[Accumulator], out: &mut Batch) {
-    let mut vals = key;
-    match phase {
-        AggPhase::Complete | AggPhase::Final => {
-            vals.extend(accs.iter().map(Accumulator::finish));
-        }
-        AggPhase::Partial => {
-            for acc in accs {
-                vals.extend(acc.to_state());
-            }
-        }
-    }
-    out.push(Row(vals));
 }
 
 /// Streaming aggregate over input sorted on the group keys (the paper's
-/// "sort-based aggregation on an already sorted input", §6.2.1 / Q14).
-/// Row-internal: group boundaries are detected row by row.
+/// "sort-based aggregation on an already sorted input", §6.2.1 / Q14). Rows
+/// find their group by comparing keys with the previous row's (typed, no
+/// hashing) and fold through the same [`fold_batch`] loops as
+/// [`HashAggExec`]. After each input batch the groups that closed are
+/// emitted, so the state between batches is one open group, which a group
+/// straddling the batch boundary continues.
 pub struct SortAggExec {
-    inner: HashAggExec,
-    current_key: Option<Vec<Datum>>,
-    current_accs: Vec<Accumulator>,
-    pending: Option<Batch>,
+    input: BoxedSource,
+    group: Vec<usize>,
+    aggs: Vec<AggCall>,
+    phase: AggPhase,
+    groups: ColGroupTable,
+    slots: Vec<u32>,
     exhausted: bool,
+    ctrl: Arc<ControlBlock>,
 }
 
 impl SortAggExec {
@@ -1441,74 +1237,33 @@ impl SortAggExec {
         phase: AggPhase,
         ctrl: Arc<ControlBlock>,
     ) -> Self {
-        SortAggExec {
-            inner: HashAggExec::new(input, group, aggs, phase, ctrl),
-            current_key: None,
-            current_accs: vec![],
-            pending: None,
-            exhausted: false,
-        }
-    }
-}
-
-impl SortAggExec {
-    fn produce(&mut self) -> IcResult<Option<Batch>> {
-        if self.exhausted {
-            return Ok(self.pending.take());
-        }
-        let mut out = Batch::new();
-        loop {
-            self.inner.ctrl.check()?;
-            match self.inner.input.next_rows()? {
-                Some(rows) => {
-                    for row in rows {
-                        let key: Vec<Datum> =
-                            self.inner.group.iter().map(|&c| row.0[c].clone()).collect();
-                        if self.current_key.as_ref() != Some(&key) {
-                            if let Some(k) = self.current_key.take() {
-                                self.inner.finish_group(k, &self.current_accs, &mut out);
-                            }
-                            self.current_key = Some(key);
-                            self.current_accs = self
-                                .inner
-                                .aggs
-                                .iter()
-                                .map(|a| Accumulator::new(a.func))
-                                .collect();
-                        }
-                        self.inner.update_group(&mut self.current_accs, &row)?;
-                    }
-                    if out.len() >= BATCH_SIZE {
-                        return Ok(Some(out));
-                    }
-                }
-                None => {
-                    self.exhausted = true;
-                    if let Some(k) = self.current_key.take() {
-                        self.inner.finish_group(k, &self.current_accs, &mut out);
-                    } else if self.inner.group.is_empty() {
-                        let accs: Vec<Accumulator> = self
-                            .inner
-                            .aggs
-                            .iter()
-                            .map(|a| Accumulator::new(a.func))
-                            .collect();
-                        self.inner.finish_group(vec![], &accs, &mut out);
-                    }
-                    return Ok(if out.is_empty() { None } else { Some(out) });
-                }
-            }
-        }
+        let groups = ColGroupTable::new(group.clone(), aggs.len());
+        SortAggExec { input, group, aggs, phase, groups, slots: Vec::new(), exhausted: false, ctrl }
     }
 }
 
 impl RowSource for SortAggExec {
     fn next_batch(&mut self) -> IcResult<Option<ColumnBatch>> {
-        Ok(self.produce()?.map(|b| ColumnBatch::from_rows(&b)))
-    }
-
-    fn next_rows(&mut self) -> IcResult<Option<Batch>> {
-        self.produce()
+        while !self.exhausted {
+            self.ctrl.check()?;
+            let Some(batch) = self.input.next_batch()? else {
+                self.exhausted = true;
+                if self.group.is_empty() {
+                    self.groups.ensure_scalar_group(&self.aggs);
+                }
+                let open = self.groups.len();
+                return Ok((open > 0).then(|| emit_groups(self.phase, &mut self.groups, 0..open)));
+            };
+            self.groups.slots_for_sorted_batch(&batch, &self.aggs, &mut self.slots);
+            fold_batch(self.phase, self.group.len(), &self.aggs, &mut self.groups, &batch, &self.slots)?;
+            let closed = self.groups.len().saturating_sub(1);
+            if closed > 0 {
+                let out = emit_groups(self.phase, &mut self.groups, 0..closed);
+                self.groups.retain_last_group();
+                return Ok(Some(out));
+            }
+        }
+        Ok(None)
     }
 }
 
@@ -1728,6 +1483,25 @@ mod tests {
             ctrl(),
         );
         assert_eq!(drain(Box::new(mj)).unwrap(), rows(&[&[1], &[4]]));
+    }
+
+    #[test]
+    fn merge_join_output_is_charged_to_the_lease() {
+        // 2 000 × 2 000 rows on one key: 4 M output rows. Charging the
+        // emitted batches stops the join long before that.
+        let same: Vec<Row> = (0..2000i64).map(|i| Row(vec![Datum::Int(7), Datum::Int(i)])).collect();
+        let ctrl = ControlBlock::with_memory_limit(None, 0, 100_000);
+        let mj = MergeJoinExec::new(
+            Box::new(VecSource::new(same.clone())),
+            Box::new(VecSource::new(same)),
+            JoinKind::Inner,
+            vec![0],
+            vec![0],
+            Expr::lit(true),
+            2,
+            ctrl,
+        );
+        assert!(matches!(drain(Box::new(mj)), Err(IcError::MemoryLimit { .. })));
     }
 
     #[test]

@@ -24,10 +24,10 @@
 //!   sink — the exchange stage coalesces sub-batch outputs *across*
 //!   lanes exactly as the sequential sender coalesces across batches.
 //!
-//! Fragments that don't fit this shape (row-internal joins/aggregates,
+//! Fragments that don't fit this shape (merge joins, sort aggregates,
 //! index scans, receiver-fed spines, a bare LIMIT that profits from
-//! sequential early-exit, fewer than two morsels) fall back to the
-//! sequential single-thread path unchanged. Receivers never run inside
+//! sequential early-exit, fewer than two morsels) run as the sequential
+//! chain on the fragment's driver thread. Receivers never run inside
 //! lanes: every exchange consumed by a fragment is drained either on the
 //! driver (sequential spine) or before the lanes start (join build
 //! sides), so the producer-drains-consumer liveness argument of the
@@ -390,7 +390,7 @@ fn lane_count(partitions: &[PartStore], morsel_rows: usize, threads: usize) -> u
 /// [`ColJoinTable`] before the lanes start. Scan-chain build subtrees are
 /// built in parallel: lanes collect partial batch runs, the build barrier
 /// fires, and the driver merges the runs into one table. Anything else
-/// (receivers, row-internal operators) builds sequentially through the
+/// (receivers, merge joins, index scans) builds sequentially through the
 /// instance's own `BuildCtx` — which also keeps every receiver drain on
 /// the driver thread.
 fn resolve_builds(
@@ -456,32 +456,29 @@ fn resolve_builds(
     Ok(Arc::new(tables))
 }
 
-/// Run one fragment instance: pipeline-parallel when the plan shape, the
-/// pool, and the input size allow it, else the classic sequential chain.
-/// All output goes through `sink`; exchange staging/EOF handling stays
-/// with the caller.
+/// Run one fragment instance: pipeline-parallel when the plan shape and
+/// the input size allow it, else the sequential chain on this (driver)
+/// thread. All output goes through `sink`; exchange staging/EOF handling
+/// stays with the caller.
 pub(crate) fn run_instance(
     ctx: &mut BuildCtx<'_>,
     root: &Arc<PhysPlan>,
-    pools: Option<&SitePools>,
+    pools: &SitePools,
     morsel_rows: usize,
     sink: &InstanceSink,
 ) -> IcResult<()> {
-    if let Some(pools) = pools.filter(|p| p.threads() >= 1) {
-        if let Some(spec) = compile(root) {
-            let PhysOp::TableScan { table, .. } = &spec.region.scan.op else {
-                return Err(IcError::Internal("pipeline: region leaf not a scan".into()));
-            };
-            let partitions = Arc::new(ctx.table_partitions(*table)?);
-            let rows: usize = partitions.iter().map(PartStore::len).sum();
-            if rows.div_ceil(morsel_rows.max(64)) >= 2 {
-                let pool = pools.for_site(ctx.site);
-                let lanes = lane_count(&partitions, morsel_rows, pool.threads()).max(1);
-                return run_parallel(ctx, spec, &pool, lanes, partitions, morsel_rows, sink);
-            }
+    if let Some(spec) = compile(root) {
+        let PhysOp::TableScan { table, .. } = &spec.region.scan.op else {
+            return Err(IcError::Internal("pipeline: region leaf not a scan".into()));
+        };
+        let partitions = Arc::new(ctx.table_partitions(*table)?);
+        let rows: usize = partitions.iter().map(PartStore::len).sum();
+        if rows.div_ceil(morsel_rows.max(64)) >= 2 {
+            let pool = pools.for_site(ctx.site);
+            let lanes = lane_count(&partitions, morsel_rows, pool.threads()).max(1);
+            return run_parallel(ctx, spec, &pool, lanes, partitions, morsel_rows, sink);
         }
     }
-    // Sequential fallback: the pre-pool execution model, unchanged.
     let src = ctx.build(root)?;
     sink.drain_from(src)
 }

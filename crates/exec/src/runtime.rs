@@ -10,13 +10,14 @@
 //! (`ExecOptions::worker_threads` workers per site), keeping for itself
 //! the sequential work — exchange receivers, join build barriers, and the
 //! order-sensitive merge/sort/final-aggregate steps above the parallel
-//! region. Chains that don't fit (row-internal operators, receiver-fed
-//! spines, early-exit limits) run sequentially on the driver exactly as
-//! before; `worker_threads = 0` disables pools entirely and restores the
-//! pre-morsel runtime. Lanes stream into a shared [`InstanceSink`] — the
-//! staging half of [`ExchangeCore`] coalesces sub-batch outputs across
-//! workers the same way the sequential sender coalesced across batches —
-//! and the driver alone sends the exchange EOFs after the drain barrier.
+//! region. Chains that don't fit (index scans, merge joins, receiver-fed
+//! spines, early-exit limits, inputs of fewer than two morsels) run as the
+//! sequential chain on the driver; the site pools spawn their workers
+//! lazily, so such fragments never start one. Lanes stream into a shared
+//! [`InstanceSink`] — the staging half of [`ExchangeCore`] coalesces
+//! sub-batch outputs across workers the same way the sequential sender
+//! coalesced across batches — and the driver alone sends the exchange EOFs
+//! after the drain barrier.
 
 use crate::analyze::{enumerate_ops, OpIndex};
 use crate::fragment::{fragment_plan, ExchangeId, ExchangeRegistry, Sink};
@@ -64,8 +65,10 @@ pub struct ExecOptions {
     pub trace_parent: Option<SpanId>,
     /// Morsel-pool workers **per site**: fragment instances whose chains
     /// compile into pipelines fan out over this many lanes at their site.
-    /// `0` disables pooled execution entirely (the pre-morsel sequential
-    /// runtime); `1` keeps the pool active with deterministic lane order.
+    /// Clamped to ≥1; `1` runs one lane per pipeline (deterministic lane
+    /// order). A fragment whose input is less than two morsels runs as the
+    /// sequential chain whatever the width, so a morsel larger than every
+    /// table at a site makes the whole query sequential.
     pub worker_threads: usize,
     /// Rows per morsel (the work-stealing granule and the revocation/
     /// cancellation check interval). Clamped to ≥64.
@@ -427,24 +430,12 @@ impl InstanceSink {
         }
     }
 
-    /// Drain a sequential source into the sink. The rowset side pulls in
-    /// row format (`next_rows`) so row-native chains skip the column
-    /// round-trip, exactly as the pre-pool root driver did.
+    /// Drain a sequential source into the sink.
     pub(crate) fn drain_from(&self, mut src: BoxedSource) -> IcResult<()> {
-        match self {
-            InstanceSink::Exchange(core) => {
-                while let Some(b) = src.next_batch()? {
-                    core.send_batch(b)?;
-                }
-                Ok(())
-            }
-            InstanceSink::Rows(rows) => {
-                while let Some(mut b) = src.next_rows()? {
-                    rows.lock().append(&mut b);
-                }
-                Ok(())
-            }
+        while let Some(b) = src.next_batch()? {
+            self.push(b)?;
         }
+        Ok(())
     }
 }
 
@@ -804,10 +795,8 @@ pub fn execute_plan(
     }
 
     // --- spawn non-root fragment instances ------------------------------
-    // One lazily-populated worker pool per site for this execution; `None`
-    // (worker_threads = 0) keeps every fragment on the sequential path.
-    let pools: Option<Arc<SitePools>> = (opts.worker_threads > 0)
-        .then(|| Arc::new(SitePools::new(opts.worker_threads, opts.trace.clone())));
+    // One lazily-populated worker pool per site for this execution.
+    let pools = Arc::new(SitePools::new(opts.worker_threads.max(1), opts.trace.clone()));
     let morsel_rows = opts.morsel_rows;
     let error_slot: Arc<Mutex<Option<IcError>>> = Arc::new(Mutex::named(None, "exec.error_slot"));
     let mut handles: Vec<(usize, SiteId, usize, std::thread::JoinHandle<()>)> = Vec::new();
@@ -899,13 +888,7 @@ pub fn execute_plan(
                             lane,
                             parent_span: frag_span.as_ref().map(|g| g.id()),
                         };
-                        pipeline::run_instance(
-                            &mut ctx,
-                            &root,
-                            pools2.as_deref(),
-                            morsel_rows,
-                            &sink,
-                        )?;
+                        pipeline::run_instance(&mut ctx, &root, &pools2, morsel_rows, &sink)?;
                         core.flush()
                     };
                     match run() {
@@ -979,7 +962,7 @@ pub fn execute_plan(
         let collected: Arc<Mutex<Vec<Row>>> =
             Arc::new(Mutex::named(Vec::new(), "exec.root_rows"));
         let sink = InstanceSink::Rows(collected.clone());
-        pipeline::run_instance(&mut ctx, &root.root, pools.as_deref(), morsel_rows, &sink)?;
+        pipeline::run_instance(&mut ctx, &root.root, &pools, morsel_rows, &sink)?;
         let rows = std::mem::take(&mut *collected.lock());
         Ok(rows)
     })();
@@ -1064,7 +1047,7 @@ pub fn execute_plan(
     }
     // Pool workers joined before stats: spawned() is final, and worker
     // trace lanes are quiesced before the trace is read.
-    let pool_threads = pools.as_ref().map_or(0, |p| p.spawned());
+    let pool_threads = pools.spawned();
     drop(pools);
     let peak_buffered_rows = ctrl.lease().peak_used();
     if let Some(g) = &mut exec_span {

@@ -1,13 +1,15 @@
-//! Property tests for the batch-at-a-time kernels: hash join against the
-//! nested-loop reference and hash aggregation against streaming sort
-//! aggregation under NULL-heavy, duplicate-heavy keys — the inputs most
-//! likely to expose differences between the arena/chain hash table and the
-//! operators it replaced — plus the cross-layer hash contract: planner
+//! Property tests for the batch-at-a-time kernels: hash and nested-loop
+//! joins, hash and sort aggregation against row-at-a-time references under
+//! NULL-heavy, duplicate-heavy keys — the inputs most likely to expose
+//! differences between typed column comparisons and datum semantics —
+//! plus the cross-layer hash contract: planner
 //! routing, storage partitioning and executor probing all hash through
 //! `Row::hash_key`, and its values are pinned so an accidental divergence
 //! (or hasher change on one side only) fails loudly.
 
 use ic_common::agg::{Accumulator, AggFunc};
+mod reference;
+
 use ic_common::{BinOp, ColumnBatch, Datum, Expr, Row};
 use ic_common::eval::eval_filter_sel;
 use ic_exec::kernels::ColGroupTable;
@@ -19,6 +21,7 @@ use ic_net::topology::Topology;
 use ic_plan::ops::{AggCall, AggPhase, JoinKind};
 use proptest::prelude::*;
 use ic_common::hash::FxHashSet;
+use reference::{ref_agg, ref_join};
 
 fn src(data: Vec<Row>) -> BoxedSource {
     Box::new(VecSource::new(data))
@@ -61,30 +64,29 @@ fn arb_rows(max: usize) -> impl Strategy<Value = Vec<Row>> {
 }
 
 proptest! {
-    /// HashJoinExec (arena + chained hash table) ≡ NestedLoopJoinExec for
-    /// every join kind, under NULL-heavy duplicate-heavy keys. NULL keys
-    /// must match nothing (SQL equi-join semantics) and Int/Double/Date
-    /// keys that compare equal must join.
+    /// HashJoinExec (arena + chained hash table) and NestedLoopJoinExec
+    /// each equal the row reference for every join kind, under NULL-heavy
+    /// duplicate-heavy keys. NULL keys must match nothing (SQL equi-join
+    /// semantics) and Int/Double keys that compare equal must join.
     #[test]
     fn hash_join_matches_nested_loop((l, r) in (arb_rows(32), arb_rows(32))) {
+        let on = Expr::eq(Expr::col(0), Expr::col(2));
         for kind in [JoinKind::Inner, JoinKind::Left, JoinKind::Semi, JoinKind::Anti] {
-            let on = Expr::eq(Expr::col(0), Expr::col(2));
+            let expected = canon(ref_join(&l, &r, kind, &on, 2));
             let nlj = NestedLoopJoinExec::new(
-                src(l.clone()), src(r.clone()), kind, on, 2, ControlBlock::new(None, 0));
+                src(l.clone()), src(r.clone()), kind, on.clone(), 2, ControlBlock::new(None, 0));
             let hj = HashJoinExec::new(
                 src(l.clone()), src(r.clone()), kind, vec![0], vec![0],
                 Expr::lit(true), 2, ControlBlock::new(None, 0));
-            prop_assert_eq!(
-                canon(drain(Box::new(nlj)).unwrap()),
-                canon(drain(Box::new(hj)).unwrap()),
-                "{:?}", kind
-            );
+            prop_assert_eq!(&canon(drain(Box::new(nlj)).unwrap()), &expected, "nlj {:?}", kind);
+            prop_assert_eq!(&canon(drain(Box::new(hj)).unwrap()), &expected, "hash {:?}", kind);
         }
     }
 
-    /// HashAggExec (GroupTable) ≡ SortAggExec (streaming over sorted input)
-    /// with NULL group keys and duplicate-heavy groups, including the
-    /// partial phase whose output rows carry accumulator states.
+    /// HashAggExec (hashed slots) and SortAggExec (streaming over sorted
+    /// input) each equal the row reference with NULL group keys and
+    /// duplicate-heavy groups, including the partial phase whose output
+    /// rows carry accumulator states.
     #[test]
     fn hash_agg_matches_sort_agg(data in arb_rows(64)) {
         let aggs = vec![
@@ -100,11 +102,9 @@ proptest! {
             sorted.sort();
             let sort = SortAggExec::new(
                 src(sorted), vec![0], aggs.clone(), phase, ControlBlock::new(None, 0));
-            prop_assert_eq!(
-                canon(drain(Box::new(hash)).unwrap()),
-                canon(drain(Box::new(sort)).unwrap()),
-                "{:?}", phase
-            );
+            let expected = canon(ref_agg(&data, &[0], &aggs, phase));
+            prop_assert_eq!(&canon(drain(Box::new(hash)).unwrap()), &expected, "hash {:?}", phase);
+            prop_assert_eq!(&canon(drain(Box::new(sort)).unwrap()), &expected, "sort {:?}", phase);
         }
     }
 

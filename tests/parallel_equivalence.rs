@@ -1,7 +1,7 @@
 //! Property-based morsel-parallel vs single-thread equivalence: randomized
 //! SQL over a synthetic NULL-heavy schema must produce identical result
-//! multisets with the worker pool disabled (`worker_threads = 0`, the
-//! pre-morsel sequential runtime) and with multi-lane pools over tiny
+//! multisets with one worker and a morsel larger than any table (every
+//! fragment runs as the sequential chain) and with multi-lane pools over tiny
 //! morsels (`worker_threads = 3`, `morsel_rows = 128` — every scan splits
 //! into several morsels per site, so lanes, work stealing, shared-table
 //! probes, per-lane partial aggregates and the sorted-run merge all
@@ -13,6 +13,10 @@ use ignite_calcite_rs::{Cluster, ClusterConfig, Datum, Row, SystemVariant};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 use std::time::Duration;
+
+/// A morsel larger than any table in the fixture: every fragment has fewer
+/// than two morsels, so none goes parallel.
+const SEQUENTIAL_MORSEL_ROWS: usize = 1 << 20;
 
 struct Fixture {
     sequential: Cluster,
@@ -28,7 +32,8 @@ fn fixture() -> &'static Fixture {
             network: ignite_calcite_rs::NetworkConfig::instant(),
             exec_timeout: Some(Duration::from_secs(30)),
             memory_limit_rows: 20_000_000,
-            worker_threads: 0,
+            worker_threads: 1,
+            morsel_rows: SEQUENTIAL_MORSEL_ROWS,
             ..ClusterConfig::test_default()
         });
         sequential
